@@ -41,7 +41,7 @@ pub const JOURNAL_VERSION: u64 = 4;
 /// Content digest of a file's bytes (FNV-1a 64, shared with the cache
 /// snapshot checksums).
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    circ_smt::persist::fnv1a64(bytes)
+    circ_ir::digest::fnv1a64(bytes)
 }
 
 /// Fingerprint of the batch configuration knobs that change what a
@@ -63,7 +63,7 @@ pub fn config_fingerprint(
         "batch-config omega={omega} k={initial_k} cache={use_cache} \
          timeout_ms={timeout_ms} mem_bytes={mem} triage={triage}"
     );
-    circ_smt::persist::fnv1a64(text.as_bytes())
+    circ_ir::digest::fnv1a64(text.as_bytes())
 }
 
 /// One replayable journal entry: the digest of the input bytes it was
@@ -214,13 +214,8 @@ pub struct Journal {
 impl Journal {
     /// Opens a fresh journal, truncating any previous run's file (a
     /// non-resume run must not leave stale entries for `--resume` to
-    /// trust later).
-    pub fn create(path: &Path) -> std::io::Result<Journal> {
-        Journal::create_in(&circ_store::Store::real(), path)
-    }
-
-    /// [`Journal::create`] through an explicit storage handle, so the
-    /// torture harness can fail appends deterministically.
+    /// trust later). Appends go through `io`, so the torture harness
+    /// can fail them deterministically.
     pub fn create_in(io: &circ_store::Store, path: &Path) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             fs::create_dir_all(parent)?;
@@ -230,11 +225,6 @@ impl Journal {
 
     /// Opens an existing journal for appending (the `--resume` path);
     /// creates it if missing.
-    pub fn open_append(path: &Path) -> std::io::Result<Journal> {
-        Journal::open_append_in(&circ_store::Store::real(), path)
-    }
-
-    /// [`Journal::open_append`] through an explicit storage handle.
     pub fn open_append_in(io: &circ_store::Store, path: &Path) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             fs::create_dir_all(parent)?;
@@ -372,7 +362,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.journal");
 
-        let j = Journal::create(&path).unwrap();
+        let j = Journal::create_in(&circ_store::Store::real(), &path).unwrap();
         let mut row = sample_row();
         j.append(&row, 1, CFG).unwrap();
         row.verdict = Verdict::Safe;
@@ -406,7 +396,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.journal");
 
-        let j = Journal::create(&path).unwrap();
+        let j = Journal::create_in(&circ_store::Store::real(), &path).unwrap();
         let row = sample_row();
         j.append(&row, 1, CFG).unwrap();
         j.append(&row, 2, CFG ^ 1).unwrap(); // foreign config

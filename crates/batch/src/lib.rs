@@ -14,6 +14,13 @@
 //!   whose JSON rendering is byte-identical at any `--jobs` setting
 //!   once wall-time fields are stripped.
 //!
+//! The same crate is the one check path behind every front door:
+//! `circ check`, `circ batch` and `circ serve` all warm-start through
+//! [`load_warm_start`] and check each race variable with [`check_var`]
+//! (the paper's unit of work, one row of Table 1); batch and serve
+//! run each unit under the one retry/containment loop,
+//! [`run_supervised`].
+//!
 //! # Crash-safe supervision
 //!
 //! Around the bare fan-out sits a supervision layer (`--journal`,
@@ -70,7 +77,7 @@ pub mod journal;
 pub mod mjson;
 
 use circ_core::{
-    circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore,
+    circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore, Property,
     SolverPersist, UnknownReason,
 };
 use circ_governor::{
@@ -80,7 +87,7 @@ use circ_ir::{structural_digest, MtProgram};
 use circ_par::Pool;
 use circ_smt::{Atom, Formula, SatResult};
 use circ_stats::{BatchTotals, PipelineStats};
-use circ_triage::{TriageConfig, TriageDecision};
+use circ_triage::{TriageConfig, TriageDecision, TriageWitness};
 use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,6 +167,18 @@ pub struct BatchConfig {
     /// only the residue reaches the full engine. Off by default
     /// (`--triage` enables it); verdicts are identical either way.
     pub triage: bool,
+}
+
+impl BatchConfig {
+    /// The cache directory a run loads from and flushes to: none when
+    /// caching is off, since there is nothing to persist.
+    fn persist_dir(&self) -> Option<&Path> {
+        if self.use_cache {
+            self.cache_dir.as_deref()
+        } else {
+            None
+        }
+    }
 }
 
 impl Default for BatchConfig {
@@ -613,18 +632,12 @@ pub struct LoadedCaches {
     pub recovered: u64,
 }
 
-/// Loads both cache files, degrading each to an empty (cold) seed
-/// with a warning if the file is missing the right header, fails its
-/// checksum, or does not parse. A genuinely missing file is a silent
-/// cold start.
-pub fn load_caches(dir: &Path) -> LoadedCaches {
-    load_caches_in(&circ_store::Store::real(), dir)
-}
-
-/// [`load_caches`] through an explicit storage handle, so torture
-/// runs can fail or truncate the reads deterministically. Does not
-/// sweep stale staging files — the run driver does that once, before
-/// any load (see [`run_batch`]), so worker-side loads stay read-only.
+/// Loads both cache files through a storage handle (so torture runs
+/// can fail or truncate the reads deterministically), degrading each
+/// to an empty (cold) seed with a warning if the file is missing the
+/// right header, fails its checksum, or does not parse. A genuinely
+/// missing file is a silent cold start. Runs go through
+/// [`load_warm_start`], which also loads the predicate store.
 pub fn load_caches_in(io: &circ_store::Store, dir: &Path) -> LoadedCaches {
     let mut warnings = Vec::new();
     let mut recovered = 0u64;
@@ -649,6 +662,66 @@ pub fn load_caches_in(io: &circ_store::Store, dir: &Path) -> LoadedCaches {
         }
     };
     LoadedCaches { abs_seed, solver_seed, warnings, recovered }
+}
+
+/// Everything a run warm-starts from.
+pub struct WarmStart {
+    /// Entailment-cache seed ([`ABS_CACHE_FILE`]), empty on cold start.
+    pub abs_seed: AbsSeed,
+    /// Solver-answer store seeded from [`SOLVER_CACHE_FILE`]: active
+    /// (it collects what the run learns, for the flush) with a cache
+    /// directory, inert without one.
+    pub persist: SolverPersist,
+    /// Predicate-store seed ([`PRED_STORE_FILE`]): `Some` when the
+    /// store is enabled and a cache directory is active (empty on a
+    /// cold start), `None` otherwise.
+    pub preds: Option<PredStore>,
+    /// One message per damaged artifact that was ignored.
+    pub warnings: Vec<String>,
+    /// How many damaged artifacts degraded to a cold start. Feeds the
+    /// `store_recoveries` counter.
+    pub recovered: u64,
+}
+
+/// Loads the warm start from `cache_dir` — the one loader behind
+/// `circ check`, `circ batch`, an isolated child and `circ serve`.
+/// Every damaged artifact degrades to a cold start with a warning.
+/// The load is read-only: sweeping stale staging files is a separate
+/// call each run driver makes first, so an isolated child never
+/// touches the directory. Without a directory the start is cold.
+pub fn load_warm_start(
+    io: &circ_store::Store,
+    cache_dir: Option<&Path>,
+    pred_store: bool,
+) -> WarmStart {
+    let Some(dir) = cache_dir else {
+        return WarmStart {
+            abs_seed: AbsSeed::empty(),
+            persist: SolverPersist::inert(),
+            preds: None,
+            warnings: Vec::new(),
+            recovered: 0,
+        };
+    };
+    let LoadedCaches { abs_seed, solver_seed, mut warnings, mut recovered } =
+        load_caches_in(io, dir);
+    let preds = pred_store.then(|| {
+        let path = dir.join(PRED_STORE_FILE);
+        pred_store::load_pred_store_in(io, &path)
+            .unwrap_or_else(|e| {
+                warnings.push(format!("ignoring predicate store `{}`: {e}", path.display()));
+                recovered += 1;
+                None
+            })
+            .unwrap_or_default()
+    });
+    WarmStart {
+        abs_seed,
+        persist: SolverPersist::with_seed(solver_seed),
+        preds,
+        warnings,
+        recovered,
+    }
 }
 
 /// Outcome of one locked merge-flush of a cache directory.
@@ -800,15 +873,102 @@ pub struct CheckCtx<'a> {
     pub faults: &'a FaultPlan,
 }
 
+impl CheckCtx<'_> {
+    /// The engine configuration for each of a unit's `n_vars` checks:
+    /// the batch knobs, this unit's budget slice split evenly across
+    /// them, this attempt's fault plan, and a sequential pipeline
+    /// (`jobs = 1`), so per-unit counters are independent of
+    /// scheduling.
+    pub fn var_config(&self, n_vars: usize) -> CircConfig {
+        CircConfig {
+            omega_mode: self.config.omega,
+            initial_k: self.config.initial_k,
+            use_cache: self.config.use_cache,
+            jobs: 1,
+            timeout: carve_timeout(self.file_timeout, n_vars),
+            mem_limit_bytes: carve_mem_limit(self.file_mem, n_vars),
+            cancel: self.config.cancel.clone(),
+            faults: self.faults.clone(),
+            ..CircConfig::default()
+        }
+    }
+}
+
+/// How [`check_var`] decided one race variable.
+#[derive(Debug)]
+pub enum VarCheck {
+    /// Triage stage 0: the sound flow check certified it race-free.
+    Flow,
+    /// Triage stage 1: a bounded random schedule found a
+    /// replay-validated race.
+    Sched(TriageWitness),
+    /// The full engine ran. Its statistics include the
+    /// predicate-store seeding counters (`preds_seeded`,
+    /// `refine_rounds_saved`).
+    Circ(Box<CircOutcome>),
+}
+
+/// Checks one variable of one program — the paper's unit of work, one
+/// row of Table 1 — against the caches in `ctx`, under `cfg` (usually
+/// [`CheckCtx::var_config`]; the caller picks the property). With
+/// triage on, the cheap stages run first for the race property. Each
+/// can decide in one direction only, so a decided variable gets the
+/// verdict the engine would have produced. Otherwise the engine runs,
+/// seeded from `ctx.pred_seed`, and what it discovered is recorded
+/// into `learned`. The store key is the structural digest of the
+/// automaton plus a fingerprint of the configuration *before*
+/// seeding, so a warm run rebuilds the key it was recorded under.
+pub fn check_var(
+    ctx: &CheckCtx,
+    program: &MtProgram,
+    cfg: &CircConfig,
+    learned: &mut PredStore,
+) -> VarCheck {
+    if ctx.config.triage && cfg.property == Property::Race {
+        match circ_triage::triage(program, &TriageConfig::default()) {
+            TriageDecision::Stage0Safe => return VarCheck::Flow,
+            TriageDecision::Stage1Race(w) => return VarCheck::Sched(w),
+            TriageDecision::Fallthrough => {}
+        }
+    }
+    let property_tag = match cfg.property {
+        Property::Race => format!("race v{}", program.race_var().index()),
+        Property::Assertions => "asserts".to_string(),
+    };
+    let cfa_digest = structural_digest(program.cfa());
+    let config_fp = pred_store::config_fingerprint(
+        cfg.initial_k,
+        cfg.omega_mode,
+        cfg.minimize,
+        &cfg.initial_preds,
+        &property_tag,
+    );
+    let mut var_cfg = cfg.clone();
+    let prior =
+        ctx.pred_seed.and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
+    let mut outcome = circ_with_caches(program, &var_cfg, ctx.cache, ctx.persist);
+    if let Some(prior_rounds) = prior {
+        let stats = match &mut outcome {
+            CircOutcome::Safe(r) => &mut r.stats.pipeline,
+            CircOutcome::Unsafe(r) => &mut r.stats.pipeline,
+            CircOutcome::Unknown(r) => &mut r.stats.pipeline,
+        };
+        stats.preds_seeded = var_cfg.initial_preds.len() as u64;
+        stats.refine_rounds_saved = prior_rounds.saturating_sub(stats.refine_rounds);
+    }
+    pred_store::record_outcome(learned, cfa_digest, config_fp, &outcome, prior.unwrap_or(0));
+    VarCheck::Circ(Box::new(outcome))
+}
+
 /// Checks one named source text: compile, then worst-wins over its
-/// race variables against the caches in `ctx`. Budget-exhausted and
-/// cancelled outcomes keep the partial pipeline counters sealed up to
-/// that point. Returns the row plus the predicate-store entries the
-/// check discovered, for sequential post-run merging.
+/// race variables ([`check_var`] each) against the caches in `ctx`.
+/// Budget-exhausted and cancelled outcomes keep the partial pipeline
+/// counters sealed up to that point. Returns the row plus the
+/// predicate-store entries the check discovered, for sequential
+/// post-run merging.
 pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStore) {
     let start = Instant::now();
-    let config = ctx.config;
-    let row = |verdict: Verdict, detail: String, pipeline: PipelineStats, start: Instant| {
+    let row = |verdict: Verdict, detail: String, pipeline: PipelineStats| {
         let mut r = FileRow::new(name.to_string(), verdict, detail);
         r.time_s = start.elapsed().as_secs_f64();
         r.pipeline = pipeline;
@@ -817,34 +977,17 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
     let compiled = match circ_frontend::compile(src) {
         Ok(c) => c,
         Err(e) => {
-            let r = row(Verdict::CompileError, e.to_string(), Default::default(), start);
+            let r = row(Verdict::CompileError, e.to_string(), Default::default());
             return (r, PredStore::new());
         }
     };
     if compiled.race_vars.is_empty() {
         let detail = "no `#race` directive — nothing to check".to_string();
-        let r = row(Verdict::CompileError, detail, Default::default(), start);
+        let r = row(Verdict::CompileError, detail, Default::default());
         return (r, PredStore::new());
     }
     let n_vars = compiled.race_vars.len();
-    let cache = ctx.cache;
-    let (file_timeout, file_mem) = (ctx.file_timeout, ctx.file_mem);
-    let (persist, pred_seed, faults) = (ctx.persist, ctx.pred_seed, ctx.faults);
-    let cfg = CircConfig {
-        omega_mode: config.omega,
-        initial_k: config.initial_k,
-        use_cache: config.use_cache,
-        jobs: 1,
-        timeout: carve_timeout(file_timeout, n_vars),
-        mem_limit_bytes: carve_mem_limit(file_mem, n_vars),
-        cancel: config.cancel.clone(),
-        faults: faults.clone(),
-        ..CircConfig::default()
-    };
-    // Keyed by the *structural* digest of the lowered automaton plus a
-    // per-race-variable config fingerprint — computed from the base
-    // config, before seeding, so warm runs rebuild the recorded key.
-    let cfa_digest = structural_digest(&compiled.cfa);
+    let cfg = ctx.var_config(n_vars);
     let mut learned = PredStore::new();
     let mut verdict = Verdict::Safe;
     let mut detail = String::new();
@@ -853,85 +996,41 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
     let mut stages: Vec<&'static str> = Vec::with_capacity(n_vars);
     for &var in &compiled.race_vars {
         let program = MtProgram::new(compiled.cfa.clone(), var);
-        let vname = compiled.cfa.var_name(var).to_string();
-        if config.triage {
-            // Cheap stages first: each can decide in one direction
-            // only (stage 0 Safe, stage 1 Unsafe), so a decided
-            // variable gets the same verdict the engine would have
-            // produced — minus the engine run.
-            match circ_triage::triage(&program, &TriageConfig::default()) {
-                TriageDecision::Stage0Safe => {
-                    pipeline.triage_stage0_decided += 1;
-                    stages.push("flow");
-                    continue; // verdict stays at the Safe floor
-                }
-                TriageDecision::Stage1Race(w) => {
-                    pipeline.triage_stage1_decided += 1;
-                    stages.push("sched");
-                    let d = format!(
-                        "race on {vname}: {} threads, {} steps",
-                        w.n_threads,
-                        w.steps.len()
-                    );
-                    if Verdict::Race.rank() > verdict.rank() {
-                        verdict = Verdict::Race;
-                        detail = d;
-                    }
-                    continue;
-                }
-                TriageDecision::Fallthrough => {
-                    pipeline.triage_fallthrough += 1;
-                    stages.push("circ");
-                }
+        let vname = compiled.cfa.var_name(var);
+        let race = |n_threads: usize, steps: usize| {
+            (Verdict::Race, format!("race on {vname}: {n_threads} threads, {steps} steps"))
+        };
+        let (v, d) = match check_var(ctx, &program, &cfg, &mut learned) {
+            VarCheck::Flow => {
+                pipeline.triage_stage0_decided += 1;
+                stages.push("flow");
+                (Verdict::Safe, String::new())
             }
-        } else {
-            stages.push("circ");
-        }
-        let config_fp = pred_store::config_fingerprint(
-            cfg.initial_k,
-            cfg.omega_mode,
-            cfg.minimize,
-            &cfg.initial_preds,
-            &format!("race v{}", var.index()),
-        );
-        let mut var_cfg = cfg.clone();
-        let prior =
-            pred_seed.and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
-        let outcome = circ_with_caches(&program, &var_cfg, cache, persist);
-        let mut run_stats = outcome.stats().pipeline.clone();
-        if let Some(prior_rounds) = prior {
-            run_stats.preds_seeded = var_cfg.initial_preds.len() as u64;
-            run_stats.refine_rounds_saved = prior_rounds.saturating_sub(run_stats.refine_rounds);
-        }
-        pipeline.add(&run_stats);
-        pred_store::record_outcome(
-            &mut learned,
-            cfa_digest,
-            config_fp,
-            &outcome,
-            prior.unwrap_or(0),
-        );
-        let (v, d) = match outcome {
-            CircOutcome::Safe(_) => (Verdict::Safe, String::new()),
-            CircOutcome::Unsafe(r) => (
-                Verdict::Race,
-                format!(
-                    "race on {vname}: {} threads, {} steps",
-                    r.cex.n_threads,
-                    r.cex.steps.len()
-                ),
-            ),
-            CircOutcome::Unknown(r) => {
-                let v = match &r.reason {
-                    UnknownReason::Cancelled => {
-                        cancelled = true;
-                        Verdict::BudgetExhausted
+            VarCheck::Sched(w) => {
+                pipeline.triage_stage1_decided += 1;
+                stages.push("sched");
+                race(w.n_threads, w.steps.len())
+            }
+            VarCheck::Circ(outcome) => {
+                pipeline.triage_fallthrough += u64::from(ctx.config.triage);
+                stages.push("circ");
+                pipeline.add(&outcome.stats().pipeline);
+                match *outcome {
+                    CircOutcome::Safe(_) => (Verdict::Safe, String::new()),
+                    CircOutcome::Unsafe(r) => race(r.cex.n_threads, r.cex.steps.len()),
+                    CircOutcome::Unknown(r) => {
+                        let v = match &r.reason {
+                            UnknownReason::Cancelled => {
+                                cancelled = true;
+                                Verdict::BudgetExhausted
+                            }
+                            UnknownReason::InternalError(_) => Verdict::InternalError,
+                            reason if reason.is_budget_exhausted() => Verdict::BudgetExhausted,
+                            _ => Verdict::Inconclusive,
+                        };
+                        (v, format!("{vname}: {:?}", r.reason))
                     }
-                    UnknownReason::InternalError(_) => Verdict::InternalError,
-                    reason if reason.is_budget_exhausted() => Verdict::BudgetExhausted,
-                    _ => Verdict::Inconclusive,
-                };
-                (v, format!("{vname}: {:?}", r.reason))
+                }
             }
         };
         if v.rank() > verdict.rank() {
@@ -948,7 +1047,7 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
     if verdict == Verdict::Safe {
         detail = format!("{n_vars} race variable(s) race-free");
     }
-    let mut r = row(verdict, detail, pipeline, start);
+    let mut r = row(verdict, detail, pipeline);
     r.stage = stages.join("+");
     r.cancelled = cancelled;
     (r, learned)
@@ -957,7 +1056,7 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
 /// Checks one file: read it, then run [`check_source`] against an
 /// isolated cache seeded from the shared warm start, so per-file
 /// statistics are independent of which worker ran it. Returns the
-/// row, the file's cache, and the learned predicate-store entries —
+/// row plus the file's cache and learned predicate-store entries —
 /// both for sequential post-run merging.
 #[allow(clippy::too_many_arguments)]
 fn check_file(
@@ -969,23 +1068,25 @@ fn check_file(
     persist: &SolverPersist,
     pred_seed: Option<&PredStore>,
     faults: &FaultPlan,
-) -> (FileRow, AbsCache, PredStore) {
-    let start = Instant::now();
+) -> (FileRow, Learned) {
     let file = path.display().to_string();
     let src = match fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
-            let mut r = FileRow::new(file, Verdict::CompileError, format!("cannot read: {e}"));
-            r.time_s = start.elapsed().as_secs_f64();
-            return (r, AbsCache::disabled(), PredStore::new());
+            let row = FileRow::new(file, Verdict::CompileError, format!("cannot read: {e}"));
+            return (row, Learned::default());
         }
     };
     let cache = if config.use_cache { AbsCache::with_seed(abs_seed) } else { AbsCache::disabled() };
     let ctx =
         CheckCtx { config, file_timeout, file_mem, cache: &cache, persist, pred_seed, faults };
-    let (row, learned) = check_source(&file, &src, &ctx);
-    (row, cache, learned)
+    let (row, preds) = check_source(&file, &src, &ctx);
+    (row, (cache, preds))
 }
+
+/// What one batch file learned: its isolated entailment cache and its
+/// predicate-store entries, merged in input order after the run.
+type Learned = (AbsCache, PredStore);
 
 /// Checks one file exactly as an in-process batch worker would — the
 /// same budget carving across race variables, the same cache seeding,
@@ -994,66 +1095,80 @@ fn check_file(
 /// `circ check <file> --row-json` calls it and prints the row, so an
 /// isolated batch produces rows identical to an in-process one by
 /// construction. Learned cache entries are discarded — an isolated
-/// child never writes cache files (the parent would race it).
+/// child never writes cache files (the parent would race it), and its
+/// recovery counts stay with the parent driver, which keeps per-row
+/// counters jobs-invariant.
 pub fn check_single(path: &Path, config: &BatchConfig) -> (FileRow, Vec<String>) {
     let io = circ_store::Store::with_faults(&config.faults);
-    let cache_dir = if config.use_cache { config.cache_dir.as_deref() } else { None };
-    let (abs_seed, solver_seed, mut warnings) = match cache_dir {
-        Some(dir) => {
-            let loaded = load_caches_in(&io, dir);
-            (loaded.abs_seed, loaded.solver_seed, loaded.warnings)
-        }
-        None => (AbsSeed::empty(), Vec::new(), Vec::new()),
-    };
-    let persist = if cache_dir.is_some() {
-        SolverPersist::with_seed(solver_seed)
-    } else {
-        SolverPersist::inert()
-    };
-    // The isolated child never persists, so recovery bookkeeping stays
-    // with the parent driver (keeps per-row counters jobs-invariant).
-    let mut recovered = 0u64;
-    let pred_seed = load_pred_seed(&io, config, cache_dir, &mut warnings, &mut recovered);
-    let key = content_key(path);
-    let faults = config.faults.reseeded(key ^ 1);
-    let (row, _cache, _learned) = check_file(
+    let warm = load_warm_start(&io, config.persist_dir(), config.pred_store);
+    let faults = config.faults.reseeded(content_key(path) ^ 1);
+    let (row, _) = check_file(
         path,
         config,
         config.timeout,
         config.mem_limit_bytes,
-        &abs_seed,
-        &persist,
-        pred_seed.as_ref(),
+        &warm.abs_seed,
+        &warm.persist,
+        warm.preds.as_ref(),
         &faults,
     );
-    (row, warnings)
+    (row, warm.warnings)
 }
 
-/// Loads the predicate-store seed for a run: `Some(store)` when the
-/// store is enabled and a cache directory is active (an empty store on
-/// a cold start or after logged damage), `None` when disabled. A
-/// damaged file degrades to a warning plus a cold start, exactly like
-/// the cache snapshots.
-fn load_pred_seed(
-    io: &circ_store::Store,
+/// Runs one unit of work to a final row under the retry and
+/// containment discipline `circ batch` and `circ serve` share. A
+/// tripped cancel token drains the unit before it starts. Each
+/// attempt gets the unit's remaining wall-clock slice and a fault
+/// plan reseeded from `key ⊕ attempt`, so injection is a pure
+/// function of the input. A panic in an attempt becomes an
+/// `internal-error` row (and calls `on_panic`). An `internal-error`
+/// row is retried with seeded backoff while the policy, the cancel
+/// token and the remaining budget allow. The final row carries the
+/// retry count and the unit's wall time.
+pub fn run_supervised<T: Default>(
+    name: &str,
+    key: u64,
+    timeout: Option<Duration>,
     config: &BatchConfig,
-    cache_dir: Option<&Path>,
-    warnings: &mut Vec<String>,
-    recovered: &mut u64,
-) -> Option<PredStore> {
-    if !config.pred_store {
-        return None;
+    on_panic: impl Fn(),
+    mut attempt: impl FnMut(Option<Duration>, &FaultPlan) -> (FileRow, T),
+) -> (FileRow, T) {
+    if config.cancel.is_cancelled() {
+        let mut row = FileRow::new(
+            name.to_string(),
+            Verdict::BudgetExhausted,
+            "cancelled before start".into(),
+        );
+        row.cancelled = true;
+        return (row, T::default());
     }
-    let dir = cache_dir?;
-    let path = dir.join(PRED_STORE_FILE);
-    match pred_store::load_pred_store_in(io, &path) {
-        Ok(Some(store)) => Some(store),
-        Ok(None) => Some(PredStore::new()),
-        Err(e) => {
-            warnings.push(format!("ignoring predicate store `{}`: {e}", path.display()));
-            *recovered += 1;
-            Some(PredStore::new())
+    let start = Instant::now();
+    let mut retries: u64 = 0;
+    let mut n: u32 = 1;
+    loop {
+        let remaining = timeout.map(|t| t.saturating_sub(start.elapsed()));
+        let faults = config.faults.reseeded(key ^ u64::from(n));
+        let (mut row, out) = catch_unwind(AssertUnwindSafe(|| attempt(remaining, &faults)))
+            .unwrap_or_else(|payload| {
+                on_panic();
+                let detail = format!("contained worker panic: {}", panic_message(payload.as_ref()));
+                (FileRow::new(name.to_string(), Verdict::InternalError, detail), T::default())
+            });
+        let out_of_budget = remaining.is_some_and(|r| r.is_zero());
+        if row.verdict == Verdict::InternalError
+            && config.retry.should_retry(n)
+            && !config.cancel.is_cancelled()
+            && !out_of_budget
+        {
+            retries += 1;
+            let left = timeout.map(|t| t.saturating_sub(start.elapsed()));
+            std::thread::sleep(config.retry.backoff(key, n, left));
+            n += 1;
+            continue;
         }
+        row.retries = retries;
+        row.time_s = start.elapsed().as_secs_f64();
+        return (row, out);
     }
 }
 
@@ -1077,123 +1192,73 @@ struct FileTask {
     replay: Option<journal::JournalEntry>,
 }
 
-/// Shared context for supervised per-file checking: retry loop, panic
-/// containment, process isolation, journaling, and the cancellation
-/// drain.
+/// Shared context for supervised per-file checking: process
+/// isolation, journaling, and the `cancel_after` test hook around
+/// [`run_supervised`].
 struct Supervisor<'a> {
     config: &'a BatchConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
-    abs_seed: &'a AbsSeed,
-    persist: &'a SolverPersist,
-    pred_seed: Option<&'a PredStore>,
+    warm: &'a WarmStart,
     journal: Option<&'a journal::Journal>,
     /// Configuration fingerprint stamped on every journal line (and
     /// required of replayed ones).
     journal_config: u64,
-    /// Files that completed a real check (drives `cancel_after`).
+    /// Files that finished without replay (drives `cancel_after`).
     completed: &'a AtomicUsize,
     /// Journal lines that failed to write (reported once, at the end).
     append_failures: &'a AtomicUsize,
 }
 
 impl Supervisor<'_> {
-    /// Runs one file to a final row: replay, drain, or check with
-    /// retries — then journal the result.
-    fn supervise(&self, task: &FileTask) -> (FileRow, AbsCache, PredStore) {
+    /// Runs one file to a final row: replay, or check under
+    /// [`run_supervised`] — then journal the result.
+    fn supervise(&self, task: &FileTask) -> (FileRow, Learned) {
         let file = task.path.display().to_string();
         if let Some(entry) = &task.replay {
             let mut row = entry.row.clone();
             row.file = file;
             row.resumed = true;
-            return (row, AbsCache::disabled(), PredStore::new());
-        }
-        let start = Instant::now();
-        if self.config.cancel.is_cancelled() {
-            let mut row =
-                FileRow::new(file, Verdict::BudgetExhausted, "cancelled before start".to_string());
-            row.cancelled = true;
-            return (row, AbsCache::disabled(), PredStore::new());
+            return (row, Learned::default());
         }
         let key = task.digest.unwrap_or_else(|| content_key(&task.path));
-        let mut retries: u64 = 0;
         let mut crashes: u64 = 0;
-        let mut attempt: u32 = 1;
-        loop {
-            let remaining = self.file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-            let (mut row, cache, learned) =
-                self.attempt(&task.path, remaining, key, attempt, &mut crashes);
-            let out_of_budget = remaining.is_some_and(|r| r.is_zero());
-            if row.verdict == Verdict::InternalError
-                && self.config.retry.should_retry(attempt)
-                && !self.config.cancel.is_cancelled()
-                && !out_of_budget
-            {
-                retries += 1;
-                let left = self.file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-                std::thread::sleep(self.config.retry.backoff(key, attempt, left));
-                attempt += 1;
-                continue;
-            }
-            row.retries = retries;
-            row.isolated_crashes = crashes;
-            row.time_s = start.elapsed().as_secs_f64();
-            if let (Some(journal), Some(digest)) = (self.journal, task.digest) {
-                // Cancelled rows are deliberately not journaled: their
-                // absence is what makes `--resume` re-check them.
-                if !row.cancelled && journal.append(&row, digest, self.journal_config).is_err() {
-                    self.append_failures.fetch_add(1, Ordering::Relaxed);
+        let (mut row, learned) = run_supervised(
+            &file,
+            key,
+            self.file_timeout,
+            self.config,
+            || {},
+            |remaining, faults| {
+                if self.config.isolate {
+                    (self.isolated(&task.path, remaining, &mut crashes), Learned::default())
+                } else {
+                    check_file(
+                        &task.path,
+                        self.config,
+                        remaining,
+                        self.file_mem,
+                        &self.warm.abs_seed,
+                        &self.warm.persist,
+                        self.warm.preds.as_ref(),
+                        faults,
+                    )
                 }
-            }
-            let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-            if self.config.cancel_after.is_some_and(|limit| done >= limit) {
-                self.config.cancel.cancel();
-            }
-            return (row, cache, learned);
-        }
-    }
-
-    /// One attempt at one file: in-process (panic-contained) or in an
-    /// isolated child, with the fault plan reseeded from
-    /// `content digest ⊕ attempt` so injection is jobs-invariant.
-    fn attempt(
-        &self,
-        path: &Path,
-        attempt_timeout: Option<Duration>,
-        key: u64,
-        attempt: u32,
-        crashes: &mut u64,
-    ) -> (FileRow, AbsCache, PredStore) {
-        if self.config.isolate {
-            return (
-                self.isolated(path, attempt_timeout, crashes),
-                AbsCache::disabled(),
-                PredStore::new(),
-            );
-        }
-        let faults = self.config.faults.reseeded(key ^ u64::from(attempt));
-        match catch_unwind(AssertUnwindSafe(|| {
-            check_file(
-                path,
-                self.config,
-                attempt_timeout,
-                self.file_mem,
-                self.abs_seed,
-                self.persist,
-                self.pred_seed,
-                &faults,
-            )
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                let row = FileRow::new(
-                    path.display().to_string(),
-                    Verdict::InternalError,
-                    format!("contained worker panic: {}", panic_message(payload.as_ref())),
-                );
-                (row, AbsCache::disabled(), PredStore::new())
+            },
+        );
+        row.isolated_crashes = crashes;
+        if let (Some(journal), Some(digest)) = (self.journal, task.digest) {
+            // Cancelled rows are deliberately not journaled: their
+            // absence is what makes `--resume` re-check them.
+            if !row.cancelled && journal.append(&row, digest, self.journal_config).is_err() {
+                self.append_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.config.cancel_after.is_some_and(|limit| done >= limit) {
+            self.config.cancel.cancel();
+        }
+        (row, learned)
     }
 
     /// Runs one attempt in a child process (`circ check --row-json`).
@@ -1316,34 +1381,23 @@ fn describe_status(status: &std::process::ExitStatus) -> String {
 /// a racy corpus still warms the cache.
 pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     let io = circ_store::Store::with_faults(&config.faults);
-    let cache_dir = if config.use_cache { config.cache_dir.as_deref() } else { None };
+    let cache_dir = config.persist_dir();
     // All storage recovery and flush accounting happens here in the
     // driver — loads before the pool starts, the flush after it
     // drains — so both counters are invariant under `jobs`.
     let mut store_recoveries = 0u64;
-    let (abs_seed, solver_seed, mut warnings) = match cache_dir {
-        Some(dir) => {
-            let (swept, sweep_warnings) = io.sweep_stale_tmps(dir);
-            store_recoveries += swept;
-            let loaded = load_caches_in(&io, dir);
-            store_recoveries += loaded.recovered;
-            let mut w = sweep_warnings;
-            w.extend(loaded.warnings);
-            (loaded.abs_seed, loaded.solver_seed, w)
-        }
-        None => (AbsSeed::empty(), Vec::new(), Vec::new()),
-    };
-    let abs_seeded = abs_seed.len();
-    let solver_seeded = solver_seed.len();
-    // An active store even when the seed is empty: with a cache dir
-    // we must *collect* what the run learns, not just replay it.
-    let persist = if cache_dir.is_some() {
-        SolverPersist::with_seed(solver_seed)
-    } else {
-        SolverPersist::inert()
-    };
-    let pred_seed = load_pred_seed(&io, config, cache_dir, &mut warnings, &mut store_recoveries);
-    let preds_seeded = pred_seed.as_ref().map_or(0, PredStore::len);
+    let mut warnings = Vec::new();
+    if let Some(dir) = cache_dir {
+        let (swept, sweep_warnings) = io.sweep_stale_tmps(dir);
+        store_recoveries += swept;
+        warnings = sweep_warnings;
+    }
+    let mut warm = load_warm_start(&io, cache_dir, config.pred_store);
+    store_recoveries += warm.recovered;
+    warnings.append(&mut warm.warnings);
+    let abs_seeded = warm.abs_seed.len();
+    let solver_seeded = warm.persist.seed_len();
+    let preds_seeded = warm.preds.as_ref().map_or(0, PredStore::len);
 
     // Journal replay map (resume) and writer. Opening the writer
     // truncates on a fresh run: stale entries from a previous corpus
@@ -1398,9 +1452,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
         config,
         file_timeout: carve_timeout(config.timeout, n),
         file_mem: carve_mem_limit(config.mem_limit_bytes, n),
-        abs_seed: &abs_seed,
-        persist: &persist,
-        pred_seed: pred_seed.as_ref(),
+        warm: &warm,
         journal: journal_out.as_ref(),
         journal_config,
         completed: &completed,
@@ -1414,7 +1466,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     let mut learned_stores = Vec::with_capacity(n);
     for (path, result) in inputs.iter().zip(results) {
         match result {
-            Ok((row, cache, learned)) => {
+            Ok((row, (cache, learned))) => {
                 rows.push(row);
                 caches.push(cache);
                 learned_stores.push(learned);
@@ -1467,19 +1519,18 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     // are discarded; the save then round-trips the seed unchanged.)
     let mut flush_errors = append_failures.load(Ordering::Relaxed) as u64;
     let cache = cache_dir.map(|dir| {
-        let master = AbsCache::with_seed(&abs_seed);
+        let master = AbsCache::with_seed(&warm.abs_seed);
         for file_cache in &caches {
             master.absorb(file_cache);
         }
         let snapshot = master.snapshot();
-        let pred_master = pred_seed.map(|seed| {
-            let mut master = seed;
+        let pred_master = warm.preds.take().map(|mut master| {
             for learned in learned_stores {
                 master.absorb(learned);
             }
             master
         });
-        let outcome = flush_caches_in(&io, dir, &snapshot, &persist, pred_master.as_ref());
+        let outcome = flush_caches_in(&io, dir, &snapshot, &warm.persist, pred_master.as_ref());
         warnings.extend(outcome.warnings);
         flush_errors += outcome.flush_errors;
         CacheSummary {

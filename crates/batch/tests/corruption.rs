@@ -139,7 +139,7 @@ fn journal_corruption_degrades_per_line_not_per_file() {
     let dir = fresh_dir("corruption-journal");
     let path = dir.join("run.journal");
     let cfg = journal::config_fingerprint(true, 1, true, None, None, false);
-    let j = journal::Journal::create(&path).unwrap();
+    let j = journal::Journal::create_in(&Store::real(), &path).unwrap();
     j.append(&row("a.nesl"), 100, cfg).unwrap();
     j.append(&row("b.nesl"), 200, cfg).unwrap();
     j.append(&row("c.nesl"), 300, cfg).unwrap();
@@ -201,7 +201,9 @@ fn two_disjoint_flushes_union_instead_of_clobbering() {
     assert_eq!(merged.recovered, 0, "{:?}", merged.warnings);
     assert_eq!(merged.abs_seed.len(), abs_seed(0).len() + abs_seed(10).len());
     assert_eq!(merged.solver_seed.len(), solver_entries(0).len() + solver_entries(10).len());
-    let preds = pred_store::load_pred_store(&dir.join(PRED_STORE_FILE)).unwrap().unwrap();
+    let preds = pred_store::load_pred_store_in(&Store::real(), &dir.join(PRED_STORE_FILE))
+        .unwrap()
+        .unwrap();
     assert_eq!(preds.len(), 2, "predicate stores must merge, not clobber");
     assert!(preds.lookup(1, 7).is_some() && preds.lookup(2, 7).is_some());
 

@@ -20,9 +20,9 @@ fn main() {
                     r.preds.len(),
                     r.acfa.num_locs(),
                     r.k,
-                    r.stats.outer_iterations,
-                    r.stats.reach_runs,
-                    r.stats.smt_queries
+                    r.stats.pipeline.outer_rounds,
+                    r.stats.pipeline.reach_runs,
+                    r.stats.pipeline.solver.queries + r.stats.pipeline.abs.queries
                 ),
                 CircOutcome::Unsafe(r) => format!(
                     "UNSAFE threads={} steps={} replay={}",

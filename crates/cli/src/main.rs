@@ -1,23 +1,10 @@
 //! `circ` — the command-line race checker.
 //!
-//! ```text
-//! circ check <file.nesl> [--mode circ|omega] [--k N] [--jobs N] [--print-acfa]
-//!                        [--trace] [--stats] [--json] [--no-cache] [--row-json]
-//!                        [--timeout-secs N | --timeout-millis N]
-//!                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]
-//! circ batch <dir|manifest.json|file.nesl> [--mode circ|omega] [--k N] [--jobs N]
-//!                        [--json] [--no-cache] [--timeout-secs N]
-//!                        [--mem-limit-mb N] [--cache-dir DIR]
-//!                        [--journal FILE] [--resume] [--isolate] [--retries N]
-//! circ serve --socket PATH | --port N [--jobs N] [--max-inflight N]
-//!                        [--queue-depth N] [--timeout-secs N] [--mem-limit-mb N]
-//!                        [--cache-dir DIR] [--no-cache] [--mode circ|omega] [--k N]
-//!                        [--pred-store | --no-pred-store] [--triage | --no-triage]
-//!                        [--retries N]
-//! circ client --socket PATH | --port N [--stats] [--health] [paths...]
-//! circ compile <file.nesl> [--dot]
-//! circ baselines <file.nesl>
-//! ```
+//! Subcommands: `check` (one file), `batch` (a corpus), `serve` (a
+//! resident daemon), `client` (its counterpart), `compile` and
+//! `baselines`. Every flag is declared once in [`FLAGS`], with the
+//! subcommands that act on it; a subcommand rejects any other flag as
+//! a usage error, and `circ --help` prints the table as a synopsis.
 //!
 //! Exit codes: 0 = all checked variables race-free, 1 = a race was
 //! found, 2 = inconclusive (the analysis gave up within its own
@@ -32,69 +19,169 @@
 //! its check responses, 75 when the service shed a request
 //! (overloaded or shutting down), and 74 when it cannot connect.
 //!
-//! `batch` runs under crash-safe supervision: `--journal FILE` records
-//! every completed row, `--resume` replays journaled rows for
-//! unchanged inputs, SIGINT/SIGTERM drain the run gracefully (the
-//! partial report and cache files are still written; a second signal
-//! force-kills), `--isolate` re-execs this binary per file so one
-//! crashing input degrades to a single `internal-error` row, and
-//! `--retries N` re-runs transient internal errors with deterministic
-//! backoff. `--row-json` is the isolation protocol's child mode: check
-//! one file with batch-style budget carving and print the report row
-//! as one JSON line (exit code as above).
+//! `check`, `check --row-json`, `batch` and `serve` share one check
+//! path in `circ-batch`: one warm-start loader, one per-variable step
+//! ([`circ_batch::check_var`]) and, for `batch` and `serve`, one
+//! retry/containment loop. `--row-json` is the isolation protocol's
+//! child mode: check one file exactly as a batch worker would and
+//! print the report row as one JSON line (exit code as above).
 
-use circ_core::{
-    circ, circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircEvent, CircOutcome,
-    PredStore, Property, SolverPersist,
-};
-use circ_ir::{dot, structural_digest, Cfa, MtProgram};
+use circ_batch::{check_var, BatchConfig, CheckCtx, VarCheck};
+use circ_core::{AbsCache, CircConfig, CircEvent, CircOutcome, FaultPlan, PredStore, Property};
+use circ_governor::RetryPolicy;
+use circ_ir::{dot, Cfa, EdgeId, MtProgram};
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         return usage();
     };
-    match cmd.as_str() {
-        "check" => cmd_check(&args[1..]),
-        "batch" => cmd_batch(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "client" => cmd_client(&args[1..]),
-        "compile" => cmd_compile(&args[1..]),
-        "baselines" => cmd_baselines(&args[1..]),
-        "--help" | "-h" | "help" => {
-            print_help();
-            ExitCode::SUCCESS
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        print_help();
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = Cmd::ALL.into_iter().find(|c| c.name() == name) else {
+        eprintln!("unknown command `{name}`");
+        return usage();
+    };
+    let parsed = match parse_flags(cmd, &args[1..]) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
         }
-        other => {
-            eprintln!("unknown command `{other}`");
-            usage()
-        }
+    };
+    match cmd {
+        Cmd::Check => cmd_check(&parsed),
+        Cmd::Batch => cmd_batch(&parsed),
+        Cmd::Serve => cmd_serve(&parsed),
+        Cmd::Client => cmd_client(&parsed),
+        Cmd::Compile => cmd_compile(&parsed),
+        Cmd::Baselines => cmd_baselines(&parsed),
     }
 }
 
+/// A subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Check,
+    Batch,
+    Serve,
+    Client,
+    Compile,
+    Baselines,
+}
+
+impl Cmd {
+    const ALL: [Cmd; 6] =
+        [Cmd::Check, Cmd::Batch, Cmd::Serve, Cmd::Client, Cmd::Compile, Cmd::Baselines];
+
+    fn name(self) -> &'static str {
+        match self {
+            Cmd::Check => "check",
+            Cmd::Batch => "batch",
+            Cmd::Serve => "serve",
+            Cmd::Client => "client",
+            Cmd::Compile => "compile",
+            Cmd::Baselines => "baselines",
+        }
+    }
+
+    /// The operands the subcommand takes besides its flags.
+    fn operands(self) -> &'static str {
+        match self {
+            Cmd::Check | Cmd::Compile | Cmd::Baselines => "<file.nesl>",
+            Cmd::Batch => "<dir|manifest.json|file.nesl>",
+            Cmd::Serve => "",
+            Cmd::Client => "[paths...]",
+        }
+    }
+
+    /// Whether the subcommand acts on `flag`.
+    fn takes(self, flag: &str) -> bool {
+        FLAGS.iter().any(|f| f.name == flag && f.cmds.contains(&self))
+    }
+}
+
+/// One flag: its spelling, the value it expects (empty for a switch),
+/// and the subcommands that act on it.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    cmds: &'static [Cmd],
+}
+
+/// The subcommands that run the checker.
+const ENGINE: &[Cmd] = &[Cmd::Check, Cmd::Batch, Cmd::Serve];
+
+/// Every flag of every subcommand.
+const FLAGS: &[Flag] = &[
+    Flag { name: "--mode", value: "circ|omega", cmds: ENGINE },
+    Flag { name: "--asserts", value: "", cmds: &[Cmd::Check] },
+    Flag { name: "--k", value: "N", cmds: ENGINE },
+    Flag { name: "--jobs", value: "N", cmds: ENGINE },
+    Flag { name: "--print-acfa", value: "", cmds: &[Cmd::Check] },
+    Flag { name: "--trace", value: "", cmds: &[Cmd::Check] },
+    Flag { name: "--stats", value: "", cmds: &[Cmd::Check, Cmd::Client] },
+    Flag { name: "--json", value: "", cmds: &[Cmd::Check, Cmd::Batch] },
+    Flag { name: "--no-cache", value: "", cmds: ENGINE },
+    Flag { name: "--row-json", value: "", cmds: &[Cmd::Check] },
+    Flag { name: "--timeout-secs", value: "N", cmds: ENGINE },
+    Flag { name: "--timeout-millis", value: "N", cmds: ENGINE },
+    Flag { name: "--mem-limit-mb", value: "N", cmds: ENGINE },
+    Flag { name: "--mem-limit-bytes", value: "N", cmds: ENGINE },
+    Flag { name: "--cache-dir", value: "DIR", cmds: ENGINE },
+    Flag { name: "--pred-store", value: "", cmds: ENGINE },
+    Flag { name: "--no-pred-store", value: "", cmds: ENGINE },
+    Flag { name: "--triage", value: "", cmds: ENGINE },
+    Flag { name: "--no-triage", value: "", cmds: ENGINE },
+    Flag { name: "--journal", value: "FILE", cmds: &[Cmd::Batch] },
+    Flag { name: "--resume", value: "", cmds: &[Cmd::Batch] },
+    Flag { name: "--isolate", value: "", cmds: &[Cmd::Batch] },
+    Flag { name: "--retries", value: "N", cmds: &[Cmd::Batch, Cmd::Serve] },
+    Flag { name: "--socket", value: "PATH", cmds: &[Cmd::Serve, Cmd::Client] },
+    Flag { name: "--port", value: "N", cmds: &[Cmd::Serve, Cmd::Client] },
+    Flag { name: "--max-inflight", value: "N", cmds: &[Cmd::Serve] },
+    Flag { name: "--queue-depth", value: "N", cmds: &[Cmd::Serve] },
+    Flag { name: "--health", value: "", cmds: &[Cmd::Client] },
+    Flag { name: "--dot", value: "", cmds: &[Cmd::Compile] },
+];
+
+/// One usage line for `cmd`, generated from [`FLAGS`] and wrapped.
+fn synopsis(cmd: Cmd) -> String {
+    let mut out = format!("  circ {} {}", cmd.name(), cmd.operands()).trim_end().to_string();
+    let mut width = out.len();
+    for f in FLAGS.iter().filter(|f| f.cmds.contains(&cmd)) {
+        let item = if f.value.is_empty() {
+            format!("[{}]", f.name)
+        } else {
+            format!("[{} {}]", f.name, f.value)
+        };
+        if width + 1 + item.len() > 88 {
+            out.push_str("\n       ");
+            width = 7;
+        } else {
+            out.push(' ');
+            width += 1;
+        }
+        out.push_str(&item);
+        width += item.len();
+    }
+    out
+}
+
 fn print_help() {
+    println!("circ — race checking by context inference (PLDI 2004 reproduction)\n\nUSAGE:");
+    for cmd in Cmd::ALL {
+        println!("{}", synopsis(cmd));
+    }
     println!(
-        "circ — race checking by context inference (PLDI 2004 reproduction)\n\n\
-         USAGE:\n  circ check <file.nesl> [--mode circ|omega] [--asserts] [--k N] [--jobs N] [--print-acfa]\n\
-         \x20                        [--trace] [--stats] [--json] [--no-cache] [--row-json]\n\
-         \x20                        [--timeout-secs N | --timeout-millis N]\n\
-         \x20                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]\n\
-         \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
-         \x20 circ batch <dir|manifest.json|file.nesl> [--mode circ|omega] [--k N] [--jobs N]\n\
-         \x20                        [--json] [--no-cache] [--timeout-secs N]\n\
-         \x20                        [--mem-limit-mb N] [--cache-dir DIR]\n\
-         \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
-         \x20                        [--journal FILE] [--resume] [--isolate] [--retries N]\n\
-         \x20 circ serve --socket PATH | --port N [--jobs N] [--max-inflight N] [--queue-depth N]\n\
-         \x20                        [--timeout-secs N] [--mem-limit-mb N] [--cache-dir DIR]\n\
-         \x20                        [--no-cache] [--mode circ|omega] [--k N] [--retries N]\n\
-         \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
-         \x20 circ client --socket PATH | --port N [--stats] [--health] [paths...]\n\
-         \x20 circ compile <file.nesl> [--dot]\n\
-         \x20 circ baselines <file.nesl>\n\n\
+        "\n\
          The input file declares globals, `#race` variables, and one `thread`.\n\
          `check` proves the absence of data races for UNBOUNDEDLY many copies\n\
          of the thread, or returns a concrete racy schedule. `batch` checks a\n\
@@ -108,13 +195,15 @@ fn print_help() {
          `--jobs N` runs on N worker threads (0 = all cores, default 1) —\n\
          pipeline phases for `check`, whole files for `batch` — with\n\
          bit-identical verdicts and statistics at any setting;\n\
-         `--timeout-secs N` / `--mem-limit-mb N` bound the run's wall clock /\n\
-         accounted memory (split evenly across files for `batch`) — on\n\
-         exhaustion the verdict is INCONCLUSIVE with partial statistics and\n\
-         exit code 3; `--cache-dir DIR` persists the entailment and solver\n\
-         caches across runs: loaded on start (a damaged file degrades to a\n\
-         logged cold start), written back on exit. `--k N` (N >= 1) sets the\n\
-         initial thread-counter parameter.\n\n\
+         `--timeout-secs N` / `--mem-limit-mb N` bound the whole run's wall\n\
+         clock / accounted memory, split evenly across files and then across\n\
+         each file's race variables; on exhaustion the verdict is\n\
+         INCONCLUSIVE with partial statistics and exit code 3;\n\
+         `--cache-dir DIR` persists the entailment and solver caches across\n\
+         runs: loaded on start (a damaged file degrades to a logged cold\n\
+         start), written back on exit. `--k N` (N >= 1) sets the initial\n\
+         thread-counter parameter. A flag the subcommand does not act on\n\
+         is a usage error (exit 64).\n\n\
          Incremental re-checking: with `--cache-dir`, each check's discovered\n\
          predicate set and final k are persisted to a predicate store\n\
          (preds.store) keyed by a structural digest of the lowered automaton\n\
@@ -173,9 +262,13 @@ fn usage() -> ExitCode {
     ExitCode::from(64)
 }
 
-#[derive(Debug)]
+/// The parsed command line. Fields for flags a subcommand does not
+/// take keep their defaults.
+#[derive(Debug, Default)]
 struct Parsed {
-    source_path: String,
+    /// Operands: the input file for `check`/`batch`/`compile`/
+    /// `baselines`, the paths to submit for `client`.
+    paths: Vec<String>,
     mode_omega: bool,
     asserts: bool,
     initial_k: u32,
@@ -204,6 +297,11 @@ struct Parsed {
     resume: bool,
     isolate: bool,
     retries: u32,
+    socket: Option<PathBuf>,
+    port: Option<u16>,
+    max_inflight: usize,
+    queue_depth: usize,
+    health: bool,
 }
 
 impl Parsed {
@@ -220,176 +318,194 @@ impl Parsed {
     fn mem_limit(&self) -> Option<u64> {
         self.mem_limit_mb.map(|mb| mb * 1024 * 1024).or(self.mem_limit_bytes)
     }
+
+    /// The retry policy: none unless `--retries N` asks for one.
+    fn retry(&self) -> RetryPolicy {
+        if self.retries > 0 {
+            RetryPolicy::with_retries(self.retries, 0x5eed_c1bc)
+        } else {
+            RetryPolicy::none()
+        }
+    }
+
+    /// The checker configuration `check` and `batch` run under.
+    fn batch_config(&self) -> BatchConfig {
+        BatchConfig {
+            omega: self.mode_omega,
+            initial_k: self.initial_k,
+            use_cache: !self.no_cache,
+            jobs: self.jobs,
+            timeout: self.timeout(),
+            mem_limit_bytes: self.mem_limit(),
+            cache_dir: self.cache_dir.clone(),
+            pred_store: self.pred_store.unwrap_or(true),
+            triage: self.triage.unwrap_or(false),
+            journal: self.journal.clone(),
+            resume: self.resume,
+            isolate: self.isolate,
+            retry: self.retry(),
+            ..BatchConfig::default()
+        }
+    }
 }
 
-fn parse_flags(args: &[String]) -> Result<Parsed, String> {
-    let mut parsed = Parsed {
-        source_path: String::new(),
+/// Parses the value after `flag`.
+fn value<T: FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or(format!("{flag} expects {what}"))?;
+    v.parse().map_err(|_| format!("{flag} expects {what}, got `{v}`"))
+}
+
+/// Sets one side of an on/off flag pair; naming both sides is an error.
+fn either(slot: &mut Option<bool>, on: bool, pair: &str) -> Result<(), String> {
+    if *slot == Some(!on) {
+        return Err(format!("{pair} are contradictory"));
+    }
+    *slot = Some(on);
+    Ok(())
+}
+
+/// The one flag parser. A flag `cmd` does not act on is a usage error,
+/// and so is every conflicting combination.
+fn parse_flags(cmd: Cmd, args: &[String]) -> Result<Parsed, String> {
+    let mut p = Parsed {
         mode_omega: true,
-        asserts: false,
         initial_k: 1,
-        print_acfa: false,
-        trace: false,
-        dot: false,
-        stats: false,
-        stats_json: false,
-        no_cache: false,
         jobs: 1,
-        timeout_secs: None,
-        timeout_millis: None,
-        mem_limit_mb: None,
-        mem_limit_bytes: None,
-        cache_dir: None,
-        pred_store: None,
-        triage: None,
-        row_json: false,
-        journal: None,
-        resume: false,
-        isolate: false,
-        retries: 0,
+        max_inflight: 2,
+        queue_depth: 16,
+        ..Parsed::default()
     };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--mode" => match it.next().map(String::as_str) {
-                Some("circ") => parsed.mode_omega = false,
-                Some("omega") => parsed.mode_omega = true,
-                other => return Err(format!("--mode expects circ|omega, got {other:?}")),
-            },
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with('-') {
+            p.paths.push(arg.clone());
+            continue;
+        }
+        if !FLAGS.iter().any(|f| f.name == flag) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        if !cmd.takes(flag) {
+            return Err(format!("`circ {}` does not take `{flag}`", cmd.name()));
+        }
+        match flag {
+            "--mode" => {
+                p.mode_omega = match value::<String>(&mut it, flag, "circ|omega")?.as_str() {
+                    "circ" => false,
+                    "omega" => true,
+                    other => return Err(format!("--mode expects circ|omega, got `{other}`")),
+                }
+            }
             "--k" => {
-                let v = it.next().ok_or("--k expects a number")?;
-                parsed.initial_k =
-                    v.parse().map_err(|_| format!("--k expects a number, got `{v}`"))?;
+                p.initial_k = value(&mut it, flag, "a number")?;
                 // k counts context threads; the abstraction is only
                 // defined for k >= 1 (§3.2's counter domain starts at
                 // "one context thread"), so 0 is a usage error, not a
                 // config we can silently run with.
-                if parsed.initial_k == 0 {
+                if p.initial_k == 0 {
                     return Err("--k must be at least 1 (0 context threads is not a valid counter abstraction)".into());
                 }
             }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs expects a number")?;
-                parsed.jobs =
-                    v.parse().map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs expects a number")?;
-                parsed.timeout_secs = Some(
-                    v.parse().map_err(|_| format!("--timeout-secs expects a number, got `{v}`"))?,
-                );
-            }
-            "--timeout-millis" => {
-                let v = it.next().ok_or("--timeout-millis expects a number")?;
-                parsed.timeout_millis = Some(
-                    v.parse()
-                        .map_err(|_| format!("--timeout-millis expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-mb" => {
-                let v = it.next().ok_or("--mem-limit-mb expects a number")?;
-                parsed.mem_limit_mb = Some(
-                    v.parse().map_err(|_| format!("--mem-limit-mb expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-bytes" => {
-                let v = it.next().ok_or("--mem-limit-bytes expects a number")?;
-                parsed.mem_limit_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("--mem-limit-bytes expects a number, got `{v}`"))?,
-                );
-            }
-            "--journal" => {
-                let v = it.next().ok_or("--journal expects a file path")?;
-                parsed.journal = Some(PathBuf::from(v));
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries expects a number")?;
-                parsed.retries =
-                    v.parse().map_err(|_| format!("--retries expects a number, got `{v}`"))?;
-            }
-            "--resume" => parsed.resume = true,
-            "--isolate" => parsed.isolate = true,
-            "--row-json" => parsed.row_json = true,
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir expects a directory")?;
-                parsed.cache_dir = Some(PathBuf::from(v));
-            }
-            "--pred-store" => {
-                if parsed.pred_store == Some(false) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
+            "--jobs" => p.jobs = value(&mut it, flag, "a number")?,
+            "--timeout-secs" => p.timeout_secs = Some(value(&mut it, flag, "a number")?),
+            "--timeout-millis" => p.timeout_millis = Some(value(&mut it, flag, "a number")?),
+            "--mem-limit-mb" => p.mem_limit_mb = Some(value(&mut it, flag, "a number")?),
+            "--mem-limit-bytes" => p.mem_limit_bytes = Some(value(&mut it, flag, "a number")?),
+            "--cache-dir" => p.cache_dir = Some(value(&mut it, flag, "a directory")?),
+            "--journal" => p.journal = Some(value(&mut it, flag, "a file path")?),
+            "--retries" => p.retries = value(&mut it, flag, "a number")?,
+            "--socket" => p.socket = Some(value(&mut it, flag, "a path")?),
+            "--port" => p.port = Some(value(&mut it, flag, "a number")?),
+            "--max-inflight" => {
+                p.max_inflight = value(&mut it, flag, "a number")?;
+                if p.max_inflight == 0 {
+                    return Err("--max-inflight must be at least 1".into());
                 }
-                parsed.pred_store = Some(true);
             }
+            "--queue-depth" => p.queue_depth = value(&mut it, flag, "a number")?,
+            "--pred-store" => either(&mut p.pred_store, true, "--pred-store and --no-pred-store")?,
             "--no-pred-store" => {
-                if parsed.pred_store == Some(true) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                parsed.pred_store = Some(false);
+                either(&mut p.pred_store, false, "--pred-store and --no-pred-store")?
             }
-            "--triage" => {
-                if parsed.triage == Some(false) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                parsed.triage = Some(true);
-            }
-            "--no-triage" => {
-                if parsed.triage == Some(true) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                parsed.triage = Some(false);
-            }
-            "--asserts" => parsed.asserts = true,
-            "--print-acfa" => parsed.print_acfa = true,
-            "--trace" => parsed.trace = true,
-            "--dot" => parsed.dot = true,
-            "--stats" => parsed.stats = true,
-            "--json" => parsed.stats_json = true,
-            "--no-cache" => parsed.no_cache = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => {
-                if !parsed.source_path.is_empty() {
-                    return Err("multiple input files".into());
-                }
-                parsed.source_path = path.to_string();
-            }
+            "--triage" => either(&mut p.triage, true, "--triage and --no-triage")?,
+            "--no-triage" => either(&mut p.triage, false, "--triage and --no-triage")?,
+            "--asserts" => p.asserts = true,
+            "--print-acfa" => p.print_acfa = true,
+            "--trace" => p.trace = true,
+            "--dot" => p.dot = true,
+            "--stats" => p.stats = true,
+            "--json" => p.stats_json = true,
+            "--no-cache" => p.no_cache = true,
+            "--row-json" => p.row_json = true,
+            "--resume" => p.resume = true,
+            "--isolate" => p.isolate = true,
+            "--health" => p.health = true,
+            _ => unreachable!("every flag in FLAGS has an arm"),
         }
-    }
-    if parsed.source_path.is_empty() {
-        return Err("missing input file".into());
-    }
-    if parsed.cache_dir.is_some() && parsed.no_cache {
-        return Err("--cache-dir and --no-cache are contradictory (nothing to persist)".into());
-    }
-    if parsed.pred_store == Some(true) && parsed.cache_dir.is_none() {
-        return Err("--pred-store needs --cache-dir DIR (the store lives there)".into());
-    }
-    if parsed.triage == Some(true) && parsed.asserts {
-        return Err("--triage and --asserts are contradictory (the cheap stages decide the race \
-             property only)"
-            .into());
-    }
-    if parsed.timeout_secs.is_some() && parsed.timeout_millis.is_some() {
-        return Err(
-            "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    if parsed.mem_limit_mb.is_some() && parsed.mem_limit_bytes.is_some() {
-        return Err(
-            "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    if parsed.resume && parsed.journal.is_none() {
-        return Err("--resume needs --journal FILE (there is nothing to resume from)".into());
     }
     // `--json` selects the stats *format*; asking for a format is
     // asking for the stats.
-    if parsed.stats_json {
-        parsed.stats = true;
+    p.stats |= p.stats_json;
+    let conflicts = [
+        (
+            p.cache_dir.is_some() && p.no_cache,
+            "--cache-dir and --no-cache are contradictory (nothing to persist)",
+        ),
+        (
+            p.pred_store == Some(true) && p.cache_dir.is_none(),
+            "--pred-store needs --cache-dir DIR (the store lives there)",
+        ),
+        (
+            p.triage == Some(true) && p.asserts,
+            "--triage and --asserts are contradictory (the cheap stages decide the race property only)",
+        ),
+        (
+            p.row_json && (p.asserts || p.print_acfa || p.trace || p.stats),
+            "--row-json prints one race-property report row; it takes no --asserts, --print-acfa, \
+             --trace, --stats or --json",
+        ),
+        (
+            p.timeout_secs.is_some() && p.timeout_millis.is_some(),
+            "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one",
+        ),
+        (
+            p.mem_limit_mb.is_some() && p.mem_limit_bytes.is_some(),
+            "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one",
+        ),
+        (
+            p.resume && p.journal.is_none(),
+            "--resume needs --journal FILE (there is nothing to resume from)",
+        ),
+        (
+            p.socket.is_some() && p.port.is_some(),
+            "--socket and --port are two addresses for one listener — pass only one",
+        ),
+    ];
+    if let Some((_, msg)) = conflicts.iter().find(|(hit, _)| *hit) {
+        return Err(msg.to_string());
     }
-    Ok(parsed)
+    match cmd {
+        Cmd::Serve | Cmd::Client if p.socket.is_none() && p.port.is_none() => {
+            Err("pass --socket PATH or --port N".into())
+        }
+        Cmd::Serve if !p.paths.is_empty() => {
+            Err("`serve` takes no paths (they belong to `client`)".into())
+        }
+        Cmd::Client if p.paths.is_empty() && !p.stats && !p.health => {
+            Err("`client` needs at least one path to check, or --stats / --health".into())
+        }
+        Cmd::Check | Cmd::Batch | Cmd::Compile | Cmd::Baselines if p.paths.is_empty() => {
+            Err("missing input file".into())
+        }
+        Cmd::Check | Cmd::Batch | Cmd::Compile | Cmd::Baselines if p.paths.len() > 1 => {
+            Err("multiple input files".into())
+        }
+        _ => Ok(p),
+    }
 }
 
 fn load(path: &str) -> Result<circ_frontend::Compiled, ExitCode> {
@@ -414,191 +530,108 @@ fn named(cfa: &Cfa, mut s: String) -> String {
     s
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    if parsed.row_json {
+/// Prints a concrete schedule, one `thread  operation` line per step.
+fn print_steps(cfa: &Cfa, steps: impl IntoIterator<Item = (impl Display, EdgeId)>) {
+    for (i, (tid, eid)) in steps.into_iter().enumerate() {
+        let op = named(cfa, format!("{}", cfa.edge(eid).op));
+        println!("  {i:>3}. T{tid}  {op}");
+    }
+}
+
+fn warn(warnings: &[String]) {
+    for w in warnings {
+        eprintln!("warning: {w}");
+    }
+}
+
+fn cmd_check(p: &Parsed) -> ExitCode {
+    let config = p.batch_config();
+    if p.row_json {
         // Isolation-protocol child mode: check one file exactly the
-        // way a batch worker would (same budget semantics, read-only
-        // cache seeding) and emit the report row as one JSON line on
-        // stdout — the supervising parent parses it back.
-        let cfg = circ_batch::BatchConfig {
-            omega: parsed.mode_omega,
-            initial_k: parsed.initial_k,
-            use_cache: !parsed.no_cache,
-            jobs: parsed.jobs,
-            timeout: parsed.timeout(),
-            mem_limit_bytes: parsed.mem_limit(),
-            cache_dir: parsed.cache_dir.clone(),
-            pred_store: parsed.pred_store.unwrap_or(true),
-            triage: parsed.triage.unwrap_or(false),
-            ..circ_batch::BatchConfig::default()
-        };
-        let (row, warnings) = circ_batch::check_single(Path::new(&parsed.source_path), &cfg);
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
+        // way a batch worker would (read-only cache seeding) and emit
+        // the report row as one JSON line on stdout — the supervising
+        // parent parses it back.
+        let (row, warnings) = circ_batch::check_single(Path::new(&p.paths[0]), &config);
+        warn(&warnings);
         println!("{}", circ_batch::render_row_json(&row));
         return ExitCode::from(row.verdict.exit_code());
     }
-    let compiled = match load(&parsed.source_path) {
+    let compiled = match load(&p.paths[0]) {
         Ok(c) => c,
         Err(code) => return code,
     };
     if compiled.race_vars.is_empty() {
-        eprintln!("{}: no `#race` directive — nothing to check", parsed.source_path);
+        eprintln!("{}: no `#race` directive — nothing to check", p.paths[0]);
         return ExitCode::from(65);
     }
-    let cfg = CircConfig {
-        omega_mode: parsed.mode_omega,
-        initial_k: parsed.initial_k,
-        use_cache: !parsed.no_cache,
-        property: if parsed.asserts { Property::Assertions } else { Property::Race },
-        jobs: parsed.jobs,
-        timeout: parsed.timeout(),
-        mem_limit_bytes: parsed.mem_limit(),
-        ..CircConfig::default()
-    };
-    // With `--cache-dir`, warm-start from disk and share one cache
-    // across this invocation's race variables so the file written
-    // back holds the union of what they learned. Without it, each
-    // variable keeps its own per-run cache as before.
+    // With `--cache-dir`, warm-start from disk. The checked variables
+    // share one cache, so the flush writes back the union of what
+    // they learned.
     let io = circ_store::Store::real();
-    let (abs_seed, persist) = match &parsed.cache_dir {
-        Some(dir) => {
-            let (_, sweep_warnings) = io.sweep_stale_tmps(dir);
-            for w in &sweep_warnings {
-                eprintln!("warning: {w}");
-            }
-            let loaded = circ_batch::load_caches_in(&io, dir);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            (loaded.abs_seed, SolverPersist::with_seed(loaded.solver_seed))
-        }
-        None => (AbsSeed::empty(), SolverPersist::inert()),
+    let cache_dir = config.cache_dir.as_deref();
+    if let Some(dir) = cache_dir {
+        warn(&io.sweep_stale_tmps(dir).1);
+    }
+    let warm = circ_batch::load_warm_start(&io, cache_dir, config.pred_store);
+    warn(&warm.warnings);
+    let cache =
+        if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
+    let faults = FaultPlan::inert();
+    let ctx = CheckCtx {
+        config: &config,
+        file_timeout: config.timeout,
+        file_mem: config.mem_limit_bytes,
+        cache: &cache,
+        persist: &warm.persist,
+        pred_seed: warm.preds.as_ref(),
+        faults: &faults,
     };
-    let shared_cache = parsed.cache_dir.as_ref().map(|_| AbsCache::with_seed(&abs_seed));
-    // Predicate store: with a cache dir (unless --no-pred-store), seed
-    // each variable's check from what previous runs discovered for the
-    // same automaton and config, and record what this run learns.
-    let mut preds_store: Option<PredStore> = match &parsed.cache_dir {
-        Some(dir) if parsed.pred_store.unwrap_or(true) => {
-            let path = dir.join(circ_batch::PRED_STORE_FILE);
-            match pred_store::load_pred_store(&path) {
-                Ok(Some(store)) => Some(store),
-                Ok(None) => Some(PredStore::new()),
-                Err(e) => {
-                    eprintln!("warning: ignoring predicate store `{}`: {e}", path.display());
-                    Some(PredStore::new())
-                }
-            }
-        }
-        _ => None,
+    // Assertions are a program-wide property: one run suffices.
+    let vars = if p.asserts { &compiled.race_vars[..1] } else { &compiled.race_vars[..] };
+    // The budget is for the whole run, split evenly across the checked
+    // variables exactly as `--row-json` and `batch` split it.
+    let cfg = CircConfig {
+        jobs: p.jobs,
+        property: if p.asserts { Property::Assertions } else { Property::Race },
+        ..ctx.var_config(vars.len())
     };
-    let cfa_digest = structural_digest(&compiled.cfa);
+    let mut learned = PredStore::new();
     // 1 (race) dominates everything; 3 (budget exhausted) dominates 2
     // (plain inconclusive); 0 only survives if every variable is safe.
     let mut worst: u8 = 0;
-    let vars: Vec<_> = if parsed.asserts {
-        compiled.race_vars[..1].to_vec() // property is program-wide
-    } else {
-        compiled.race_vars.clone()
-    };
-    for &var in &vars {
+    for &var in vars {
         let program = MtProgram::new(compiled.cfa.clone(), var);
-        let vname = compiled.cfa.var_name(var).to_string();
-        if parsed.triage.unwrap_or(false) {
-            match circ_triage::triage(&program, &circ_triage::TriageConfig::default()) {
-                circ_triage::TriageDecision::Stage0Safe => {
-                    println!(
-                        "{vname}: SAFE — race-free for any number of threads \
-                         (triage stage 0: every access is atomic)"
-                    );
-                    continue;
-                }
-                circ_triage::TriageDecision::Stage1Race(w) => {
-                    println!(
-                        "{vname}: RACE — {} threads, {} steps \
-                         (triage stage 1: random schedule, replay validated)",
-                        w.n_threads,
-                        w.steps.len()
-                    );
-                    for (i, (tid, eid, _)) in w.steps.iter().enumerate() {
-                        let op = named(&compiled.cfa, format!("{}", compiled.cfa.edge(*eid).op));
-                        println!("  {i:>3}. T{tid}  {op}");
-                    }
-                    worst = 1;
-                    continue;
-                }
-                circ_triage::TriageDecision::Fallthrough => {
-                    if parsed.trace {
-                        eprintln!("[{vname}] triage: undecided, running full CIRC");
-                    }
-                }
+        let vname = compiled.cfa.var_name(var);
+        let outcome = match check_var(&ctx, &program, &cfg, &mut learned) {
+            VarCheck::Flow => {
+                println!(
+                    "{vname}: SAFE — race-free for any number of threads \
+                     (triage stage 0: every access is atomic)"
+                );
+                continue;
             }
-        }
-        let property_tag =
-            if parsed.asserts { "asserts".to_string() } else { format!("race v{}", var.index()) };
-        let config_fp = pred_store::config_fingerprint(
-            cfg.initial_k,
-            cfg.omega_mode,
-            cfg.minimize,
-            &cfg.initial_preds,
-            &property_tag,
-        );
-        let mut var_cfg = cfg.clone();
-        let prior = preds_store
-            .as_ref()
-            .and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
-        let outcome = match &shared_cache {
-            Some(cache) => circ_with_caches(&program, &var_cfg, cache, &persist),
-            None => circ(&program, &var_cfg),
+            VarCheck::Sched(w) => {
+                println!(
+                    "{vname}: RACE — {} threads, {} steps \
+                     (triage stage 1: random schedule, replay validated)",
+                    w.n_threads,
+                    w.steps.len()
+                );
+                print_steps(&compiled.cfa, w.steps.iter().map(|&(tid, eid, _)| (tid.0, eid)));
+                worst = 1;
+                continue;
+            }
+            VarCheck::Circ(outcome) => *outcome,
         };
-        let mut run_stats = outcome.stats().clone();
-        if let Some(prior_rounds) = prior {
-            run_stats.pipeline.preds_seeded = var_cfg.initial_preds.len() as u64;
-            run_stats.pipeline.refine_rounds_saved =
-                prior_rounds.saturating_sub(run_stats.pipeline.refine_rounds);
-        }
-        if let Some(store) = preds_store.as_mut() {
-            pred_store::record_outcome(store, cfa_digest, config_fp, &outcome, prior.unwrap_or(0));
-        }
-        if parsed.trace {
-            for e in &outcome.log().events {
-                match e {
-                    CircEvent::OuterStart { preds, k } => {
-                        eprintln!("[{vname}] round: P = {{{}}}, k = {k}", preds.join(", "))
-                    }
-                    CircEvent::ReachDone { arg_locs, .. } => {
-                        eprintln!("[{vname}]   reach ok, ARG {arg_locs} locations")
-                    }
-                    CircEvent::SimChecked { holds } => {
-                        eprintln!("[{vname}]   guarantee: {holds}")
-                    }
-                    CircEvent::Collapsed { size, .. } => {
-                        eprintln!("[{vname}]   collapsed to {size} locations")
-                    }
-                    CircEvent::AbstractRace { trace_len } => {
-                        eprintln!("[{vname}]   abstract race ({trace_len} steps)")
-                    }
-                    CircEvent::Refined { verdict, .. } => {
-                        eprintln!("[{vname}]   refine: {verdict}")
-                    }
-                    CircEvent::OmegaCheck { good } => {
-                        eprintln!("[{vname}]   ω-check: {good}")
-                    }
-                }
+        if p.trace {
+            if config.triage {
+                eprintln!("[{vname}] triage: undecided, running full CIRC");
             }
+            print_trace(vname, &outcome.log().events);
         }
-        match outcome {
+        match &outcome {
             CircOutcome::Safe(report) => {
-                let what = if parsed.asserts { "assertions hold" } else { "race-free" };
+                let what = if p.asserts { "assertions hold" } else { "race-free" };
                 println!(
                     "{vname}: SAFE — {what} for any number of threads \
                      ({} predicates, {}-location context, k = {}, {:.2?})",
@@ -607,10 +640,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     report.k,
                     report.stats.elapsed
                 );
-                if parsed.print_acfa {
-                    let preds = report.preds.clone();
+                if p.print_acfa {
                     let text = report.acfa.display_with(
-                        &|i| named(&compiled.cfa, format!("{}", preds[i.index()])),
+                        &|i| named(&compiled.cfa, format!("{}", report.preds[i.index()])),
                         &|v| compiled.cfa.var_name(v).to_string(),
                     );
                     println!("{text}");
@@ -623,10 +655,10 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     report.cex.steps.len(),
                     report.cex.replay_ok
                 );
-                for (i, (tid, eid, _)) in report.cex.steps.iter().enumerate() {
-                    let op = named(&compiled.cfa, format!("{}", compiled.cfa.edge(*eid).op));
-                    println!("  {i:>3}. T{tid}  {op}");
-                }
+                print_steps(
+                    &compiled.cfa,
+                    report.cex.steps.iter().map(|&(tid, eid, _)| (tid, eid)),
+                );
                 worst = 1;
             }
             CircOutcome::Unknown(report) => {
@@ -637,39 +669,53 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 }
             }
         }
-        if parsed.stats {
-            if parsed.stats_json {
-                println!("{}", run_stats.pipeline.to_json());
+        if p.stats {
+            let stats = outcome.stats();
+            if p.stats_json {
+                println!("{}", stats.pipeline.to_json());
             } else {
-                println!("{vname}: statistics ({:.2?} total)", run_stats.elapsed);
-                print!("{}", run_stats.pipeline.render_table());
+                println!("{vname}: statistics ({:.2?} total)", stats.elapsed);
+                print!("{}", stats.pipeline.render_table());
             }
         }
     }
-    if let (Some(dir), Some(cache)) = (&parsed.cache_dir, &shared_cache) {
-        let outcome = circ_batch::flush_caches_in(
-            &io,
-            dir,
-            &cache.snapshot(),
-            &persist,
-            preds_store.as_ref(),
-        );
-        for w in &outcome.warnings {
-            eprintln!("warning: {w}");
-        }
+    if let Some(dir) = cache_dir {
+        let preds = warm.preds.map(|mut store| {
+            store.absorb(learned);
+            store
+        });
+        let outcome =
+            circ_batch::flush_caches_in(&io, dir, &cache.snapshot(), &warm.persist, preds.as_ref());
+        warn(&outcome.warnings);
     }
     ExitCode::from(worst)
 }
 
-fn cmd_batch(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
+/// Narrates a run's event log on stderr (`--trace`).
+fn print_trace(vname: &str, events: &[CircEvent]) {
+    for e in events {
+        match e {
+            CircEvent::OuterStart { preds, k } => {
+                eprintln!("[{vname}] round: P = {{{}}}, k = {k}", preds.join(", "))
+            }
+            CircEvent::ReachDone { arg_locs, .. } => {
+                eprintln!("[{vname}]   reach ok, ARG {arg_locs} locations")
+            }
+            CircEvent::SimChecked { holds } => eprintln!("[{vname}]   guarantee: {holds}"),
+            CircEvent::Collapsed { size, .. } => {
+                eprintln!("[{vname}]   collapsed to {size} locations")
+            }
+            CircEvent::AbstractRace { trace_len } => {
+                eprintln!("[{vname}]   abstract race ({trace_len} steps)")
+            }
+            CircEvent::Refined { verdict, .. } => eprintln!("[{vname}]   refine: {verdict}"),
+            CircEvent::OmegaCheck { good } => eprintln!("[{vname}]   ω-check: {good}"),
         }
-    };
-    let inputs = match circ_batch::collect_inputs(Path::new(&parsed.source_path)) {
+    }
+}
+
+fn cmd_batch(p: &Parsed) -> ExitCode {
+    let inputs = match circ_batch::collect_inputs(Path::new(&p.paths[0])) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -692,32 +738,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             eprintln!("warning: no graceful shutdown: {e}");
         }
     }
-    let cfg = circ_batch::BatchConfig {
-        omega: parsed.mode_omega,
-        initial_k: parsed.initial_k,
-        use_cache: !parsed.no_cache,
-        jobs: parsed.jobs,
-        timeout: parsed.timeout(),
-        mem_limit_bytes: parsed.mem_limit(),
-        cache_dir: parsed.cache_dir.clone(),
-        pred_store: parsed.pred_store.unwrap_or(true),
-        triage: parsed.triage.unwrap_or(false),
-        journal: parsed.journal.clone(),
-        resume: parsed.resume,
-        isolate: parsed.isolate,
-        retry: if parsed.retries > 0 {
-            circ_governor::RetryPolicy::with_retries(parsed.retries, 0x5eed_c1bc)
-        } else {
-            circ_governor::RetryPolicy::none()
-        },
-        cancel,
-        ..circ_batch::BatchConfig::default()
-    };
-    let report = circ_batch::run_batch(&inputs, &cfg);
-    for w in &report.warnings {
-        eprintln!("warning: {w}");
-    }
-    if parsed.stats_json {
+    let report = circ_batch::run_batch(&inputs, &BatchConfig { cancel, ..p.batch_config() });
+    warn(&report.warnings);
+    if p.stats_json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_table());
@@ -725,223 +748,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     ExitCode::from(report.exit)
 }
 
-/// Parsed flags for `serve` and `client` — a separate, smaller parser
-/// because the service speaks in addresses and capacities, not input
-/// files.
-#[derive(Debug)]
-struct ServeFlags {
-    socket: Option<PathBuf>,
-    port: Option<u16>,
-    jobs: usize,
-    max_inflight: usize,
-    queue_depth: usize,
-    timeout_secs: Option<u64>,
-    timeout_millis: Option<u64>,
-    mem_limit_mb: Option<u64>,
-    mem_limit_bytes: Option<u64>,
-    cache_dir: Option<PathBuf>,
-    no_cache: bool,
-    mode_omega: bool,
-    initial_k: u32,
-    pred_store: Option<bool>,
-    triage: Option<bool>,
-    retries: u32,
-    stats: bool,
-    health: bool,
-    paths: Vec<String>,
-}
-
-fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
-    let mut f = ServeFlags {
-        socket: None,
-        port: None,
-        jobs: 1,
-        max_inflight: 2,
-        queue_depth: 16,
-        timeout_secs: None,
-        timeout_millis: None,
-        mem_limit_mb: None,
-        mem_limit_bytes: None,
-        cache_dir: None,
-        no_cache: false,
-        mode_omega: true,
-        initial_k: 1,
-        pred_store: None,
-        triage: None,
-        retries: 0,
-        stats: false,
-        health: false,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or("--socket expects a path")?;
-                f.socket = Some(PathBuf::from(v));
-            }
-            "--port" => {
-                let v = it.next().ok_or("--port expects a number")?;
-                f.port =
-                    Some(v.parse().map_err(|_| format!("--port expects a number, got `{v}`"))?);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs expects a number")?;
-                f.jobs = v.parse().map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
-            "--max-inflight" => {
-                let v = it.next().ok_or("--max-inflight expects a number")?;
-                f.max_inflight =
-                    v.parse().map_err(|_| format!("--max-inflight expects a number, got `{v}`"))?;
-                if f.max_inflight == 0 {
-                    return Err("--max-inflight must be at least 1".into());
-                }
-            }
-            "--queue-depth" => {
-                let v = it.next().ok_or("--queue-depth expects a number")?;
-                f.queue_depth =
-                    v.parse().map_err(|_| format!("--queue-depth expects a number, got `{v}`"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs expects a number")?;
-                f.timeout_secs = Some(
-                    v.parse().map_err(|_| format!("--timeout-secs expects a number, got `{v}`"))?,
-                );
-            }
-            "--timeout-millis" => {
-                let v = it.next().ok_or("--timeout-millis expects a number")?;
-                f.timeout_millis = Some(
-                    v.parse()
-                        .map_err(|_| format!("--timeout-millis expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-mb" => {
-                let v = it.next().ok_or("--mem-limit-mb expects a number")?;
-                f.mem_limit_mb = Some(
-                    v.parse().map_err(|_| format!("--mem-limit-mb expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-bytes" => {
-                let v = it.next().ok_or("--mem-limit-bytes expects a number")?;
-                f.mem_limit_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("--mem-limit-bytes expects a number, got `{v}`"))?,
-                );
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir expects a directory")?;
-                f.cache_dir = Some(PathBuf::from(v));
-            }
-            "--mode" => match it.next().map(String::as_str) {
-                Some("circ") => f.mode_omega = false,
-                Some("omega") => f.mode_omega = true,
-                other => return Err(format!("--mode expects circ|omega, got {other:?}")),
-            },
-            "--k" => {
-                let v = it.next().ok_or("--k expects a number")?;
-                f.initial_k = v.parse().map_err(|_| format!("--k expects a number, got `{v}`"))?;
-                if f.initial_k == 0 {
-                    return Err("--k must be at least 1 (0 context threads is not a valid counter abstraction)".into());
-                }
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries expects a number")?;
-                f.retries =
-                    v.parse().map_err(|_| format!("--retries expects a number, got `{v}`"))?;
-            }
-            "--pred-store" => {
-                if f.pred_store == Some(false) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                f.pred_store = Some(true);
-            }
-            "--no-pred-store" => {
-                if f.pred_store == Some(true) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                f.pred_store = Some(false);
-            }
-            "--triage" => {
-                if f.triage == Some(false) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                f.triage = Some(true);
-            }
-            "--no-triage" => {
-                if f.triage == Some(true) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                f.triage = Some(false);
-            }
-            "--no-cache" => f.no_cache = true,
-            "--stats" => f.stats = true,
-            "--health" => f.health = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => f.paths.push(path.to_string()),
-        }
-    }
-    match (&f.socket, f.port) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--socket and --port are two addresses for one listener — pass only one".into()
-            );
-        }
-        (None, None) => return Err("pass --socket PATH or --port N".into()),
-        _ => {}
-    }
-    if f.cache_dir.is_some() && f.no_cache {
-        return Err("--cache-dir and --no-cache are contradictory (nothing to persist)".into());
-    }
-    if f.pred_store == Some(true) && f.cache_dir.is_none() {
-        return Err("--pred-store needs --cache-dir DIR (the store lives there)".into());
-    }
-    if f.timeout_secs.is_some() && f.timeout_millis.is_some() {
-        return Err(
-            "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    if f.mem_limit_mb.is_some() && f.mem_limit_bytes.is_some() {
-        return Err(
-            "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    Ok(f)
-}
-
-impl ServeFlags {
-    fn bind_to(&self) -> circ_serve::BindTo {
-        match (&self.socket, self.port) {
-            (Some(path), _) => circ_serve::BindTo::Socket(path.clone()),
-            (None, Some(port)) => circ_serve::BindTo::Port(port),
-            (None, None) => unreachable!("parser requires one address"),
-        }
-    }
-
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout_secs
-            .map(Duration::from_secs)
-            .or(self.timeout_millis.map(Duration::from_millis))
-    }
-
-    fn mem_limit(&self) -> Option<u64> {
-        self.mem_limit_mb.map(|mb| mb * 1024 * 1024).or(self.mem_limit_bytes)
-    }
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    if flags.stats || flags.health || !flags.paths.is_empty() {
-        eprintln!("`serve` takes no paths or probe flags (those belong to `client`)");
-        return usage();
-    }
+fn cmd_serve(p: &Parsed) -> ExitCode {
     let cancel = circ_governor::CancelToken::new();
     let flush = circ_serve::FlushTrigger::new();
     // SIGINT/SIGTERM drain the service (one-shot: a second signal
@@ -966,25 +773,21 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     }
     let config = circ_serve::ServeConfig {
-        bind: flags.bind_to(),
-        jobs: flags.jobs,
-        max_inflight: flags.max_inflight,
-        queue_depth: flags.queue_depth,
-        envelope: circ_governor::Envelope {
-            timeout: flags.timeout(),
-            mem_limit_bytes: flags.mem_limit(),
+        bind: match (&p.socket, p.port) {
+            (Some(path), _) => circ_serve::BindTo::Socket(path.clone()),
+            (None, port) => circ_serve::BindTo::Port(port.expect("parser requires one address")),
         },
-        omega: flags.mode_omega,
-        initial_k: flags.initial_k,
-        use_cache: !flags.no_cache,
-        pred_store: flags.pred_store.unwrap_or(true),
-        triage: flags.triage.unwrap_or(false),
-        cache_dir: flags.cache_dir.clone(),
-        retry: if flags.retries > 0 {
-            circ_governor::RetryPolicy::with_retries(flags.retries, 0x5eed_c1bc)
-        } else {
-            circ_governor::RetryPolicy::none()
-        },
+        jobs: p.jobs,
+        max_inflight: p.max_inflight,
+        queue_depth: p.queue_depth,
+        envelope: circ_governor::Envelope { timeout: p.timeout(), mem_limit_bytes: p.mem_limit() },
+        omega: p.mode_omega,
+        initial_k: p.initial_k,
+        use_cache: !p.no_cache,
+        pred_store: p.pred_store.unwrap_or(true),
+        triage: p.triage.unwrap_or(false),
+        cache_dir: p.cache_dir.clone(),
+        retry: p.retry(),
         cancel,
         flush,
         ..circ_serve::ServeConfig::default()
@@ -1006,7 +809,7 @@ enum ClientConn {
 }
 
 impl ClientConn {
-    fn connect(flags: &ServeFlags) -> Result<ClientConn, String> {
+    fn connect(flags: &Parsed) -> Result<ClientConn, String> {
         match (&flags.socket, flags.port) {
             (Some(path), _) => {
                 #[cfg(unix)]
@@ -1054,19 +857,8 @@ impl ClientConn {
     }
 }
 
-fn cmd_client(args: &[String]) -> ExitCode {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    if !flags.stats && !flags.health && flags.paths.is_empty() {
-        eprintln!("`client` needs at least one path to check, or --stats / --health");
-        return usage();
-    }
-    let mut conn = match ClientConn::connect(&flags) {
+fn cmd_client(flags: &Parsed) -> ExitCode {
+    let mut conn = match ClientConn::connect(flags) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("circ client: {e}");
@@ -1123,15 +915,8 @@ fn cmd_client(args: &[String]) -> ExitCode {
     ExitCode::from(worst)
 }
 
-fn cmd_compile(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let compiled = match load(&parsed.source_path) {
+fn cmd_compile(parsed: &Parsed) -> ExitCode {
+    let compiled = match load(&parsed.paths[0]) {
         Ok(c) => c,
         Err(code) => return code,
     };
@@ -1152,15 +937,8 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_baselines(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let compiled = match load(&parsed.source_path) {
+fn cmd_baselines(parsed: &Parsed) -> ExitCode {
+    let compiled = match load(&parsed.paths[0]) {
         Ok(c) => c,
         Err(code) => return code,
     };
@@ -1184,10 +962,14 @@ fn cmd_baselines(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{parse_flags, Cmd, Parsed, FLAGS};
 
-    fn flags(args: &[&str]) -> Result<super::Parsed, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    fn parse(cmd: Cmd, args: &[&str]) -> Result<Parsed, String> {
+        parse_flags(cmd, &args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn flags(args: &[&str]) -> Result<Parsed, String> {
+        parse(Cmd::Check, args)
     }
 
     #[test]
@@ -1244,29 +1026,88 @@ mod tests {
 
     #[test]
     fn supervision_flags_parse() {
-        let p = flags(&[
-            "corpus",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-            "--isolate",
-            "--retries",
-            "2",
-            "--row-json",
-        ])
-        .unwrap();
+        let batch = |args: &[&str]| parse(Cmd::Batch, args);
+        let p =
+            batch(&["corpus", "--journal", "j.jsonl", "--resume", "--isolate", "--retries", "2"])
+                .unwrap();
         assert_eq!(p.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
-        assert!(p.resume && p.isolate && p.row_json);
+        assert!(p.resume && p.isolate);
         assert_eq!(p.retries, 2);
-        assert!(flags(&["corpus", "--retries", "many"]).is_err());
-        assert!(flags(&["corpus", "--journal"]).is_err());
+        assert!(batch(&["corpus", "--retries", "many"]).is_err());
+        assert!(batch(&["corpus", "--journal"]).is_err());
+        assert!(flags(&["m.nesl", "--row-json"]).unwrap().row_json);
     }
 
     #[test]
     fn resume_requires_a_journal() {
-        let err = flags(&["corpus", "--resume"]).unwrap_err();
+        let batch = |args: &[&str]| parse(Cmd::Batch, args);
+        let err = batch(&["corpus", "--resume"]).unwrap_err();
         assert!(err.contains("--journal"), "unhelpful message: {err}");
-        assert!(flags(&["corpus", "--resume", "--journal", "j.jsonl"]).is_ok());
+        assert!(batch(&["corpus", "--resume", "--journal", "j.jsonl"]).is_ok());
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_act_on() {
+        let rejects = |cmd: Cmd, args: &[&str]| {
+            let err = parse(cmd, args).unwrap_err();
+            assert!(err.contains("does not take"), "{args:?}: {err}");
+        };
+        // `batch` checks the race property and prints a report; it
+        // renders no per-variable output.
+        for flag in ["--asserts", "--print-acfa", "--trace", "--dot", "--row-json", "--stats"] {
+            rejects(Cmd::Batch, &["corpus", flag]);
+        }
+        // `check` has no journal, isolation or retries.
+        for args in [
+            &["m.nesl", "--journal", "j"][..],
+            &["m.nesl", "--resume"],
+            &["m.nesl", "--isolate"],
+            &["m.nesl", "--retries", "1"],
+            &["m.nesl", "--dot"],
+        ] {
+            rejects(Cmd::Check, args);
+        }
+        rejects(Cmd::Serve, &["--port", "9", "--stats"]);
+        rejects(Cmd::Client, &["--port", "9", "--jobs", "2", "a.nesl"]);
+        rejects(Cmd::Compile, &["m.nesl", "--mode", "circ"]);
+        rejects(Cmd::Baselines, &["m.nesl", "--dot"]);
+        assert!(flags(&["m.nesl", "--frobnicate"]).unwrap_err().contains("unknown flag"));
+        // The child mode renders one row, for the race property only.
+        for flag in ["--asserts", "--print-acfa", "--trace", "--stats", "--json"] {
+            assert!(flags(&["m.nesl", "--row-json", flag]).is_err(), "{flag}");
+        }
+    }
+
+    #[test]
+    fn isolated_child_flags_stay_accepted() {
+        // The flags `circ batch --isolate` spawns `circ check` with.
+        let child = |cache: &[&str]| {
+            let mut args = vec!["m.nesl", "--row-json", "--mode", "circ", "--k", "2"];
+            args.extend_from_slice(cache);
+            args.extend(["--no-pred-store", "--triage"]);
+            args.extend(["--timeout-millis", "250", "--mem-limit-bytes", "4096"]);
+            flags(&args).unwrap()
+        };
+        let p = child(&["--cache-dir", "d"]);
+        assert!(p.row_json && !p.mode_omega && p.initial_k == 2);
+        assert_eq!((p.pred_store, p.triage), (Some(false), Some(true)));
+        assert!(child(&["--no-cache"]).no_cache);
+    }
+
+    #[test]
+    fn every_declared_flag_has_a_parser_arm() {
+        for flag in FLAGS {
+            for &cmd in flag.cmds {
+                let value = if flag.name == "--mode" { "circ" } else { "1" };
+                let mut args = vec!["m.nesl", flag.name];
+                if !flag.value.is_empty() {
+                    args.push(value);
+                }
+                // Conflict and operand errors are fine; a missing arm
+                // would panic.
+                let _ = parse(cmd, &args);
+            }
+        }
     }
 
     #[test]
@@ -1302,19 +1143,22 @@ mod tests {
 
     #[test]
     fn serve_flags_require_exactly_one_address() {
-        let sflags = |args: &[&str]| {
-            super::parse_serve_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-        };
+        let sflags = |args: &[&str]| parse(Cmd::Serve, args);
         assert!(sflags(&[]).unwrap_err().contains("--socket PATH or --port N"));
+        assert!(parse(Cmd::Client, &["--stats"])
+            .unwrap_err()
+            .contains("--socket PATH or --port N"));
         assert!(sflags(&["--socket", "s", "--port", "9"]).unwrap_err().contains("only one"));
         let f = sflags(&["--socket", "/tmp/c.sock", "--max-inflight", "4", "--queue-depth", "8"])
             .unwrap();
         assert_eq!(f.socket.as_deref(), Some(std::path::Path::new("/tmp/c.sock")));
         assert_eq!((f.max_inflight, f.queue_depth), (4, 8));
-        let f = sflags(&["--port", "7777", "--stats", "a.nesl", "b.nesl"]).unwrap();
+        let f = parse(Cmd::Client, &["--port", "7777", "--stats", "a.nesl", "b.nesl"]).unwrap();
         assert_eq!(f.port, Some(7777));
         assert!(f.stats && !f.health);
         assert_eq!(f.paths, vec!["a.nesl", "b.nesl"]);
+        assert!(parse(Cmd::Client, &["--port", "9"]).is_err(), "client needs work");
+        assert!(sflags(&["--port", "9", "a.nesl"]).is_err(), "serve takes no paths");
         assert!(sflags(&["--port", "9", "--max-inflight", "0"]).is_err());
         assert!(sflags(&["--port", "9", "--cache-dir", "d", "--no-cache"]).is_err());
         assert!(sflags(&["--port", "9", "--pred-store"]).is_err());

@@ -180,13 +180,6 @@ pub struct CircLog {
 /// Statistics of a run.
 #[derive(Debug, Clone, Default)]
 pub struct CircStats {
-    /// Outer (refinement) rounds executed.
-    pub outer_iterations: usize,
-    /// Total reachability runs.
-    pub reach_runs: usize,
-    /// Total SMT queries across the whole run: formula-level solver
-    /// queries of every round plus atom-level entailment/sat queries.
-    pub smt_queries: u64,
     /// Wall-clock of the whole run.
     pub elapsed: std::time::Duration,
     /// Per-phase counters, cache statistics, and wall-time spans.
@@ -419,7 +412,6 @@ fn circ_inner(
             seal_stats(&mut stats, None, cache, &abs_base, budget, start);
             return CircOutcome::Unknown(UnknownReport { reason: e.into(), log, stats });
         }
-        stats.outer_iterations += 1;
         stats.pipeline.outer_rounds += 1;
         log.events.push(CircEvent::OuterStart { preds: pred_strings(&preds), k });
         let abs = AbsCtx::with_parts(
@@ -435,7 +427,6 @@ fn circ_inner(
         // The inner assume–guarantee loop.
         let mut restart_outer = false;
         for _inner in 0..config.max_inner {
-            stats.reach_runs += 1;
             stats.pipeline.reach_runs += 1;
             let init = if config.omega_mode { CVal::Fin(k) } else { CVal::Omega };
             let reach_t = Instant::now();
@@ -646,7 +637,6 @@ fn circ_inner(
 fn absorb_round(stats: &mut CircStats, abs: &AbsCtx) {
     let sc = abs.solver_counters();
     stats.pipeline.solver.add(&sc);
-    stats.smt_queries += sc.queries;
 }
 
 /// Finalizes the run's statistics: banks the live round's solver
@@ -664,7 +654,6 @@ fn seal_stats(
         absorb_round(stats, abs);
     }
     let abs_delta = cache.counters().since(abs_base);
-    stats.smt_queries += abs_delta.queries;
     stats.pipeline.abs = abs_delta;
     seal_governor(stats, budget);
     stats.elapsed = start.elapsed();

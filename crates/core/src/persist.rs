@@ -19,9 +19,8 @@
 //! [`crate::cache`]).
 
 use crate::cache::AbsSeed;
-use circ_smt::persist::{
-    fnv1a64, parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens,
-};
+use circ_ir::digest::fnv1a64;
+use circ_smt::persist::{parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens};
 use circ_smt::{Atom, PersistError};
 use std::io;
 use std::path::Path;
@@ -112,15 +111,11 @@ pub fn parse_abs_cache(text: &str) -> Result<AbsSeed, PersistError> {
     Ok(AbsSeed::from_entries(entails, sat))
 }
 
-/// Loads an entailment-cache file. A missing file is `Ok(None)` (a
-/// fresh cache dir is not an anomaly); anything else unreadable or
-/// invalid is an error for the caller to log before cold-starting.
-pub fn load_abs_cache(path: &Path) -> Result<Option<AbsSeed>, PersistError> {
-    load_abs_cache_in(&circ_store::Store::real(), path)
-}
-
-/// [`load_abs_cache`] through an explicit storage handle, so torture
-/// runs can fail or truncate the read deterministically.
+/// Loads an entailment-cache file through a storage handle (so
+/// torture runs can fail or truncate the read deterministically). A
+/// missing file is `Ok(None)` (a fresh cache dir is not an anomaly);
+/// anything else unreadable or invalid is an error for the caller to
+/// log before cold-starting.
 pub fn load_abs_cache_in(
     store: &circ_store::Store,
     path: &Path,
@@ -133,12 +128,8 @@ pub fn load_abs_cache_in(
     parse_abs_cache(&text).map(Some)
 }
 
-/// Saves a seed to `path` (durable atomic write).
-pub fn save_abs_cache(path: &Path, seed: &AbsSeed) -> io::Result<()> {
-    save_abs_cache_in(&circ_store::Store::real(), path, seed)
-}
-
-/// [`save_abs_cache`] through an explicit storage handle.
+/// Saves a seed to `path` (durable atomic write) through a storage
+/// handle.
 pub fn save_abs_cache_in(store: &circ_store::Store, path: &Path, seed: &AbsSeed) -> io::Result<()> {
     store.write_atomic(path, &render_abs_cache(seed))
 }
@@ -223,7 +214,7 @@ mod tests {
     fn missing_file_is_a_clean_miss() {
         let path = std::env::temp_dir().join("circ_abs_cache_does_not_exist.cache");
         let _ = fs::remove_file(&path);
-        assert!(load_abs_cache(&path).unwrap().is_none());
+        assert!(load_abs_cache_in(&circ_store::Store::real(), &path).unwrap().is_none());
     }
 
     #[test]
@@ -231,8 +222,9 @@ mod tests {
         let path = std::env::temp_dir().join("circ_persist_unit_abs.cache");
         let _ = fs::remove_file(&path);
         let seed = populated_cache().snapshot();
-        save_abs_cache(&path, &seed).unwrap();
-        let loaded = load_abs_cache(&path).unwrap().unwrap();
+        let io = circ_store::Store::real();
+        save_abs_cache_in(&io, &path, &seed).unwrap();
+        let loaded = load_abs_cache_in(&io, &path).unwrap().unwrap();
         assert_eq!(seed.entails_entries(), loaded.entails_entries());
         assert_eq!(abs_cache_fingerprint(&seed), abs_cache_fingerprint(&loaded));
         let _ = fs::remove_file(&path);

@@ -43,8 +43,9 @@
 //! a predicate is `<cmp> <lhs> <rhs>`).
 
 use crate::circ::{CircConfig, CircOutcome};
+use circ_ir::digest::fnv1a64;
 use circ_ir::{BinOp, CmpOp, Expr, Pred, Var};
-use circ_smt::persist::{fnv1a64, parse_cache_file, render_cache_file, Tokens};
+use circ_smt::persist::{parse_cache_file, render_cache_file, Tokens};
 use circ_smt::PersistError;
 use std::collections::BTreeMap;
 use std::io;
@@ -304,15 +305,11 @@ pub fn parse_pred_store(text: &str) -> Result<PredStore, PersistError> {
     Ok(store)
 }
 
-/// Loads a predicate-store file. A missing file is `Ok(None)` (a fresh
-/// cache dir is not an anomaly); anything else unreadable or invalid
-/// is an error for the caller to log before cold-starting.
-pub fn load_pred_store(path: &Path) -> Result<Option<PredStore>, PersistError> {
-    load_pred_store_in(&circ_store::Store::real(), path)
-}
-
-/// [`load_pred_store`] through an explicit storage handle, so torture
-/// runs can fail or truncate the read deterministically.
+/// Loads a predicate-store file through a storage handle (so torture
+/// runs can fail or truncate the read deterministically). A missing
+/// file is `Ok(None)` (a fresh cache dir is not an anomaly); anything
+/// else unreadable or invalid is an error for the caller to log
+/// before cold-starting.
 pub fn load_pred_store_in(
     io: &circ_store::Store,
     path: &Path,
@@ -325,13 +322,8 @@ pub fn load_pred_store_in(
     parse_pred_store(&text).map(Some)
 }
 
-/// Saves a store to `path` (durable atomic write, the same crash
-/// discipline as the cache snapshots).
-pub fn save_pred_store(path: &Path, store: &PredStore) -> io::Result<()> {
-    save_pred_store_in(&circ_store::Store::real(), path, store)
-}
-
-/// [`save_pred_store`] through an explicit storage handle.
+/// Saves a store to `path` through a storage handle (durable atomic
+/// write, the same crash discipline as the cache snapshots).
 pub fn save_pred_store_in(
     io: &circ_store::Store,
     path: &Path,
@@ -406,7 +398,7 @@ mod tests {
     fn missing_file_is_a_clean_miss() {
         let path = std::env::temp_dir().join("circ_pred_store_does_not_exist.store");
         let _ = fs::remove_file(&path);
-        assert!(load_pred_store(&path).unwrap().is_none());
+        assert!(load_pred_store_in(&circ_store::Store::real(), &path).unwrap().is_none());
     }
 
     #[test]
@@ -414,8 +406,9 @@ mod tests {
         let path = std::env::temp_dir().join("circ_pred_store_unit.store");
         let _ = fs::remove_file(&path);
         let store = populated_store();
-        save_pred_store(&path, &store).unwrap();
-        let loaded = load_pred_store(&path).unwrap().unwrap();
+        let io = circ_store::Store::real();
+        save_pred_store_in(&io, &path, &store).unwrap();
+        let loaded = load_pred_store_in(&io, &path).unwrap().unwrap();
         assert_eq!(store.entries, loaded.entries);
         let _ = fs::remove_file(&path);
     }

@@ -5,10 +5,11 @@
 //! integration-level counterpart of the wire-format unit tests in
 //! `circ_core::persist` / `circ_smt::persist`.
 
-use circ_core::persist::{load_abs_cache, save_abs_cache};
+use circ_core::persist::{load_abs_cache_in, save_abs_cache_in};
 use circ_core::{circ_with_caches, AbsCache, CircConfig, CircOutcome, SolverPersist};
 use circ_ir::{figure1_cfa, MtProgram};
-use circ_smt::persist::{load_solver_cache, save_solver_cache};
+use circ_smt::persist::{load_solver_cache_in, save_solver_cache_in};
+use circ_store::Store;
 use std::fs;
 use std::path::PathBuf;
 
@@ -40,6 +41,7 @@ fn run(
 
 #[test]
 fn save_then_load_warms_a_second_run() {
+    let io = Store::real();
     let dir = tmp("roundtrip");
     let abs_path = dir.join("abs.cache");
     let solver_path = dir.join("solver.cache");
@@ -48,11 +50,11 @@ fn save_then_load_warms_a_second_run() {
     assert!(cold.is_safe(), "figure 1 must verify");
     let cold_misses = cold.stats().pipeline.abs.cache_misses;
     assert!(cold_misses > 0, "a cold run must miss");
-    save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
-    save_solver_cache(&solver_path, &persist).unwrap();
+    save_abs_cache_in(&io, &abs_path, &cache.snapshot()).unwrap();
+    save_solver_cache_in(&io, &solver_path, &persist).unwrap();
 
-    let abs_seed = load_abs_cache(&abs_path).unwrap().expect("file just written");
-    let solver_seed = load_solver_cache(&solver_path).unwrap().expect("file just written");
+    let abs_seed = load_abs_cache_in(&io, &abs_path).unwrap().expect("file just written");
+    let solver_seed = load_solver_cache_in(&io, &solver_path).unwrap().expect("file just written");
     assert!(!abs_seed.is_empty());
     assert!(!solver_seed.is_empty());
 
@@ -74,13 +76,14 @@ fn save_then_load_warms_a_second_run() {
 
 #[test]
 fn every_single_bit_flip_is_detected() {
+    let io = Store::real();
     let dir = tmp("bitflip");
     let abs_path = dir.join("abs.cache");
     let (cold, cache, persist) = run(&circ_core::AbsSeed::empty(), Vec::new());
     assert!(cold.is_safe());
-    save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
+    save_abs_cache_in(&io, &abs_path, &cache.snapshot()).unwrap();
     let solver_path = dir.join("solver.cache");
-    save_solver_cache(&solver_path, &persist).unwrap();
+    save_solver_cache_in(&io, &solver_path, &persist).unwrap();
 
     let abs_bytes = fs::read(&abs_path).unwrap();
     // Exhaustive over bytes would be slow for the solver file; stride
@@ -92,8 +95,8 @@ fn every_single_bit_flip_is_detected() {
             let mut damaged = bytes.clone();
             damaged[ix] ^= 0x04;
             fs::write(path, &damaged).unwrap();
-            let abs_ok = load_abs_cache(&abs_path);
-            let solver_ok = load_solver_cache(&solver_path);
+            let abs_ok = load_abs_cache_in(&io, &abs_path);
+            let solver_ok = load_solver_cache_in(&io, &solver_path);
             assert!(
                 abs_ok.is_err() || solver_ok.is_err(),
                 "flip at byte {ix} of {} went undetected",
@@ -106,20 +109,21 @@ fn every_single_bit_flip_is_detected() {
 
 #[test]
 fn truncation_and_version_bumps_degrade_to_cold_start() {
+    let io = Store::real();
     let dir = tmp("truncate");
     let abs_path = dir.join("abs.cache");
     let (_, cache, _) = run(&circ_core::AbsSeed::empty(), Vec::new());
-    save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
+    save_abs_cache_in(&io, &abs_path, &cache.snapshot()).unwrap();
     let text = fs::read_to_string(&abs_path).unwrap();
 
     for cut in [0, 1, text.len() / 2, text.len() - 1] {
         fs::write(&abs_path, &text[..cut]).unwrap();
-        assert!(load_abs_cache(&abs_path).is_err(), "truncation at {cut} accepted");
+        assert!(load_abs_cache_in(&io, &abs_path).is_err(), "truncation at {cut} accepted");
     }
     fs::write(&abs_path, text.replace("format=1", "format=2")).unwrap();
-    assert!(load_abs_cache(&abs_path).is_err(), "future format version accepted");
+    assert!(load_abs_cache_in(&io, &abs_path).is_err(), "future format version accepted");
     fs::write(&abs_path, text.replace("atoms=1", "atoms=9")).unwrap();
-    assert!(load_abs_cache(&abs_path).is_err(), "future atom encoding accepted");
+    assert!(load_abs_cache_in(&io, &abs_path).is_err(), "future atom encoding accepted");
 
     // The batch/CLI policy on any of those errors is an empty seed —
     // and an empty seed provably cannot change the verdict.

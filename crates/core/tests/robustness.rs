@@ -50,7 +50,7 @@ fn fig1_program() -> MtProgram {
 /// counters and its event log up to the point of exhaustion.
 fn assert_partial_evidence(report: &UnknownReport) {
     assert!(report.stats.pipeline.budget_polls > 0, "no budget polls recorded");
-    assert!(report.stats.reach_runs > 0, "no reachability attempt recorded");
+    assert!(report.stats.pipeline.reach_runs > 0, "no reachability attempt recorded");
     assert!(!report.log.events.is_empty(), "empty event log");
 }
 
@@ -186,7 +186,7 @@ fn iteration_limit_reports_partial_evidence() {
     };
     assert!(matches!(report.reason, UnknownReason::IterationLimit), "{:?}", report.reason);
     assert!(!report.reason.is_budget_exhausted());
-    assert_eq!(report.stats.outer_iterations, 1);
+    assert_eq!(report.stats.pipeline.outer_rounds, 1);
     assert_partial_evidence(&report);
 }
 

@@ -12,15 +12,16 @@
 //!
 //! The persistent predicate store (`circ-core`) keys its entries on
 //! this digest, so the hash must be stable across runs and platforms:
-//! it is FNV-1a 64 over a deterministic text rendering, the same hash
-//! family the cache snapshots use for their checksums.
+//! it is [`fnv1a64`] over a deterministic text rendering, the same hash
+//! the cache snapshots use for their checksums.
 
 use crate::cfa::{Cfa, Op, VarKind};
 use std::fmt::Write as _;
 
-/// FNV-1a 64-bit, duplicated from `circ-smt`'s persistence layer
-/// (this crate sits below `circ-smt` in the dependency order).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over raw bytes — the workspace's one content hash.
+/// Hand-rolled so digests and on-disk checksums are independent of
+/// `std`'s unstable `DefaultHasher` internals.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

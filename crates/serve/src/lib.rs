@@ -26,10 +26,10 @@
 //!   uses.
 //! * **per-request fault containment**: a panic anywhere in a
 //!   request's handling degrades that one response (an
-//!   `internal-error` row or response); transient failures retry
-//!   under the same deterministic [`RetryPolicy`] and per-content
-//!   fault reseeding the batch supervisor uses; the server and
-//!   sibling requests keep running.
+//!   `internal-error` row or response); transient failures retry in
+//!   the loop `circ batch` uses ([`circ_batch::run_supervised`]:
+//!   deterministic [`RetryPolicy`], per-content fault reseeding); the
+//!   server and sibling requests keep running.
 //!
 //! Verdict soundness is inherited by construction: every check runs
 //! through [`circ_batch::check_source`] — the exact code path behind
@@ -48,10 +48,10 @@ use crate::admission::{Admission, Rejected};
 use crate::protocol::{parse_request, CheckInput, Request};
 use circ_batch::journal::digest_bytes;
 use circ_batch::{
-    check_source, collect_inputs, flush_caches_in, load_caches_in, worst_exit, BatchConfig,
-    CheckCtx, FileRow, Verdict, PRED_STORE_FILE,
+    check_source, collect_inputs, flush_caches_in, load_warm_start, run_supervised, worst_exit,
+    BatchConfig, CheckCtx, FileRow, Verdict,
 };
-use circ_core::{pred_store, AbsCache, PredStore, SolverPersist};
+use circ_core::{AbsCache, PredStore, SolverPersist};
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, Envelope, FaultPlan, RetryPolicy,
 };
@@ -400,12 +400,9 @@ fn request_batch_config(
     }
 }
 
-/// Checks one unit under the batch supervisor's retry/containment
-/// discipline: fault plans reseeded from `content digest ⊕ attempt`,
-/// transient `internal-error` rows retried with seeded backoff
-/// bounded by the unit's remaining budget, panics contained to an
-/// `internal-error` row. Mirrors `circ-batch`'s `Supervisor` minus
-/// journaling and process isolation.
+/// Checks one unit under the retry and containment loop `circ batch`
+/// uses ([`run_supervised`]). Journaling and process isolation stay
+/// with batch: the request/response cycle is the supervision here.
 fn check_unit(
     state: &ServerState,
     unit: &Unit,
@@ -414,32 +411,29 @@ fn check_unit(
     file_mem: Option<u64>,
     pred_seed: Option<&PredStore>,
 ) -> (FileRow, PredStore) {
-    let start = Instant::now();
     let name = unit.name();
-    if batch_cfg.cancel.is_cancelled() {
-        let mut row =
-            FileRow::new(name, Verdict::BudgetExhausted, "cancelled before start".to_string());
-        row.cancelled = true;
-        return (row, PredStore::new());
-    }
     let source = match unit {
-        Unit::Inline { source, .. } => source.clone(),
-        Unit::Path(path) => match std::fs::read_to_string(path) {
+        Unit::Inline { source, .. } => Ok(source.clone()),
+        Unit::Path(path) => std::fs::read_to_string(path),
+    };
+    let key = source.as_ref().map_or(0, |s| digest_bytes(s.as_bytes()));
+    let on_panic = || state.stats.apply(|s| s.panics_contained += 1);
+    run_supervised(&name, key, file_timeout, batch_cfg, on_panic, |remaining, faults| {
+        let source = match &source {
             Ok(s) => s,
             Err(e) => {
-                let mut row =
-                    FileRow::new(name, Verdict::CompileError, format!("cannot read: {e}"));
-                row.time_s = start.elapsed().as_secs_f64();
+                let row =
+                    FileRow::new(name.clone(), Verdict::CompileError, format!("cannot read: {e}"));
                 return (row, PredStore::new());
             }
-        },
-    };
-    let key = digest_bytes(source.as_bytes());
-    let mut retries: u64 = 0;
-    let mut attempt: u32 = 1;
-    loop {
-        let remaining = file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-        let faults = batch_cfg.faults.reseeded(key ^ u64::from(attempt));
+        };
+        // Same injection point the worker pool has (compiles to
+        // `false` without the `inject` feature): a panic here
+        // exercises the containment under the per-attempt reseeded
+        // schedule.
+        if faults.task_panic() {
+            panic!("injected task panic");
+        }
         let ctx = CheckCtx {
             config: batch_cfg,
             file_timeout: remaining,
@@ -447,45 +441,10 @@ fn check_unit(
             cache: &state.cache,
             persist: &state.persist,
             pred_seed,
-            faults: &faults,
+            faults,
         };
-        let (mut row, learned) = match catch_unwind(AssertUnwindSafe(|| {
-            // Same injection point the worker pool has (compiles
-            // to `false` without the `inject` feature): a panic
-            // here exercises the containment arm below under the
-            // per-attempt reseeded schedule.
-            if faults.task_panic() {
-                panic!("injected task panic");
-            }
-            check_source(&name, &source, &ctx)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                state.stats.apply(|s| s.panics_contained += 1);
-                let row = FileRow::new(
-                    name.clone(),
-                    Verdict::InternalError,
-                    format!("contained worker panic: {}", panic_message(payload.as_ref())),
-                );
-                (row, PredStore::new())
-            }
-        };
-        let out_of_budget = remaining.is_some_and(|r| r.is_zero());
-        if row.verdict == Verdict::InternalError
-            && batch_cfg.retry.should_retry(attempt)
-            && !batch_cfg.cancel.is_cancelled()
-            && !out_of_budget
-        {
-            retries += 1;
-            let left = file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-            std::thread::sleep(batch_cfg.retry.backoff(key, attempt, left));
-            attempt += 1;
-            continue;
-        }
-        row.retries = retries;
-        row.time_s = start.elapsed().as_secs_f64();
-        return (row, learned);
-    }
+        check_source(&name, source, &ctx)
+    })
 }
 
 /// Runs one admitted check request: resolve the work list, carve the
@@ -793,44 +752,19 @@ fn build_state(config: ServeConfig) -> (Arc<ServerState>, Vec<String>) {
         recovered += swept;
         warnings.extend(sweep_warnings);
     }
-    let (cache, persist) = if config.use_cache {
-        match cache_dir {
-            Some(dir) => {
-                let loaded = load_caches_in(&io, dir);
-                warnings.extend(loaded.warnings);
-                recovered += loaded.recovered;
-                (
-                    AbsCache::with_seed(&loaded.abs_seed),
-                    SolverPersist::with_seed(loaded.solver_seed),
-                )
-            }
-            None => (AbsCache::with_seed(&circ_core::AbsSeed::empty()), {
-                SolverPersist::with_seed(Vec::new())
-            }),
+    let warm = load_warm_start(&io, cache_dir, config.pred_store);
+    warnings.extend(warm.warnings);
+    recovered += warm.recovered;
+    let cache =
+        if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
+    // Without a cache directory the service still learns in memory
+    // across requests; it just has nowhere to flush.
+    let (persist, preds) = match cache_dir {
+        Some(_) => (warm.persist, warm.preds),
+        None if config.use_cache => {
+            (SolverPersist::with_seed(Vec::new()), config.pred_store.then(PredStore::new))
         }
-    } else {
-        (AbsCache::disabled(), SolverPersist::inert())
-    };
-    let preds = if config.pred_store && config.use_cache {
-        let seed = match cache_dir {
-            Some(dir) => {
-                let path = dir.join(PRED_STORE_FILE);
-                match pred_store::load_pred_store_in(&io, &path) {
-                    Ok(Some(store)) => store,
-                    Ok(None) => PredStore::new(),
-                    Err(e) => {
-                        warnings
-                            .push(format!("ignoring predicate store `{}`: {e}", path.display()));
-                        recovered += 1;
-                        PredStore::new()
-                    }
-                }
-            }
-            None => PredStore::new(),
-        };
-        Some(seed)
-    } else {
-        None
+        None => (SolverPersist::inert(), None),
     };
     let admission = Admission::new(config.max_inflight, config.queue_depth);
     let state = Arc::new(ServerState {

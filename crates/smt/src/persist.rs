@@ -35,6 +35,7 @@ use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
 use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
+use circ_ir::digest::fnv1a64;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -83,17 +84,6 @@ impl From<io::Error> for PersistError {
 
 fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
-}
-
-/// FNV-1a 64-bit over raw bytes. Hand-rolled so the on-disk checksum
-/// is independent of `std`'s unstable `DefaultHasher` internals.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A cursor over whitespace-separated tokens of one cache-file line.
@@ -355,14 +345,6 @@ pub fn parse_cache_file<'a>(kind: &str, text: &'a str) -> Result<Vec<&'a str>, P
     Ok(lines)
 }
 
-/// Writes `text` to `path` atomically and durably (same-directory
-/// temp file, `fsync`, rename, directory `fsync` — see
-/// [`circ_store::write_atomic`]), so a concurrent reader never
-/// observes a torn file and a completed write survives a crash.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    circ_store::write_atomic(path, text)
-}
-
 const SOLVER_KIND: &str = "circ-solver-cache";
 
 /// Shared, frozen-seed persistence store for [`crate::SharedSolver`]
@@ -441,7 +423,7 @@ impl SolverPersist {
 
     /// Seed ∪ learned, deduped by formula (first occurrence wins; the
     /// solver is deterministic, so colliding results are identical
-    /// anyway). This is what [`save_solver_cache`] writes.
+    /// anyway). This is what [`save_solver_cache_in`] writes.
     pub fn merged_entries(&self) -> Vec<(Formula, SatResult)> {
         let Some(inner) = &self.inner else { return Vec::new() };
         let mut seen = std::collections::HashSet::new();
@@ -487,15 +469,11 @@ pub fn parse_solver_cache(text: &str) -> Result<Vec<(Formula, SatResult)>, Persi
     Ok(out)
 }
 
-/// Loads a solver cache file. A missing file is `Ok(None)` (a fresh
-/// cache dir is not an anomaly); anything else unreadable or invalid
-/// is an error for the caller to log before cold-starting.
-pub fn load_solver_cache(path: &Path) -> Result<Option<Vec<(Formula, SatResult)>>, PersistError> {
-    load_solver_cache_in(&circ_store::Store::real(), path)
-}
-
-/// [`load_solver_cache`] through an explicit storage handle, so
-/// torture runs can fail or truncate the read deterministically.
+/// Loads a solver cache file through a storage handle (so torture
+/// runs can fail or truncate the read deterministically). A missing
+/// file is `Ok(None)` (a fresh cache dir is not an anomaly); anything
+/// else unreadable or invalid is an error for the caller to log
+/// before cold-starting.
 pub fn load_solver_cache_in(
     store: &circ_store::Store,
     path: &Path,
@@ -508,12 +486,8 @@ pub fn load_solver_cache_in(
     parse_solver_cache(&text).map(Some)
 }
 
-/// Saves a store's merged entries to `path` (durable atomic write).
-pub fn save_solver_cache(path: &Path, store: &SolverPersist) -> io::Result<()> {
-    save_solver_cache_in(&circ_store::Store::real(), path, store)
-}
-
-/// [`save_solver_cache`] through an explicit storage handle.
+/// Saves a store's merged entries to `path` (durable atomic write)
+/// through a storage handle.
 pub fn save_solver_cache_in(
     io: &circ_store::Store,
     path: &Path,
@@ -738,15 +712,19 @@ mod tests {
     fn save_load_round_trip_through_disk() {
         let path = std::env::temp_dir().join("circ_persist_unit_solver.cache");
         let _ = fs::remove_file(&path);
-        assert!(load_solver_cache(&path).unwrap().is_none(), "missing file is a clean miss");
+        let io = circ_store::Store::real();
+        assert!(
+            load_solver_cache_in(&io, &path).unwrap().is_none(),
+            "missing file is a clean miss"
+        );
 
         let solver = crate::SharedSolver::new(true);
         solver.check(&Formula::atom(Atom::le(x() - c(5))));
         let store = SolverPersist::with_seed(Vec::new());
         store.absorb(solver.entries());
-        save_solver_cache(&path, &store).unwrap();
+        save_solver_cache_in(&io, &path, &store).unwrap();
 
-        let loaded = load_solver_cache(&path).unwrap().unwrap();
+        let loaded = load_solver_cache_in(&io, &path).unwrap().unwrap();
         assert_eq!(loaded.len(), 1);
         let reloaded = SolverPersist::with_seed(loaded);
         assert_eq!(reloaded.seed_len(), 1);

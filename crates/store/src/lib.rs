@@ -389,20 +389,6 @@ pub struct DirLock {
     _file: fs::File,
 }
 
-/// Reads a file through the production backend (convenience for call
-/// sites that have no [`Store`] in hand).
-pub fn read_to_string(path: &Path) -> io::Result<String> {
-    Store::real().read_to_string(path)
-}
-
-/// Writes `text` to `path` with the full durability discipline via
-/// the production backend — the drop-in successor of the pipeline's
-/// original temp-file-plus-rename helper, now with the missing
-/// `fsync`s.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    Store::real().write_atomic(path, text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  discovered predicates: {}", report.preds.len());
             println!("  inferred context model: {} abstract locations", report.acfa.num_locs());
             println!("  counter parameter k = {}", report.k);
-            println!("  {} reachability runs, {:?}", report.stats.reach_runs, report.stats.elapsed);
+            println!(
+                "  {} reachability runs, {:?}",
+                report.stats.pipeline.reach_runs, report.stats.elapsed
+            );
         }
         CircOutcome::Unsafe(report) => {
             println!("\nRACE on `counter`! {}-thread schedule:", report.cex.n_threads);
