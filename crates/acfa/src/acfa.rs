@@ -8,9 +8,10 @@
 
 use crate::cube::Region;
 use circ_ir::Var;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 /// An abstract location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,14 +41,14 @@ pub struct AcfaEdge {
     pub dst: AcfaLocId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct AcfaLoc {
     region: Region,
     atomic: bool,
 }
 
 /// An abstract control flow automaton.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acfa {
     locs: Vec<AcfaLoc>,
     edges: Vec<AcfaEdge>,
@@ -130,19 +131,71 @@ impl Acfa {
         self.out_edges(q).any(|e| e.havoc.contains(&x))
     }
 
-    /// Locations reachable from `q` by edges with an empty havoc set
-    /// (τ-closure, including `q` itself).
-    pub fn tau_reach(&self, q: AcfaLocId) -> BTreeSet<AcfaLocId> {
-        let mut seen: BTreeSet<AcfaLocId> = [q].into();
-        let mut stack = vec![q];
-        while let Some(s) = stack.pop() {
-            for e in self.out_edges(s) {
-                if e.havoc.is_empty() && seen.insert(e.dst) {
-                    stack.push(e.dst);
+    /// `tau_closures()[q]`: the locations reachable from `q` by edges
+    /// with an empty havoc set (τ-closure), sorted, `q` included.
+    pub fn tau_closures(&self) -> Vec<Vec<AcfaLocId>> {
+        // `seen[s] == q` once the closure of `q` holds `s`.
+        let mut seen = vec![u32::MAX; self.num_locs()];
+        let mut stack = Vec::new();
+        self.locs()
+            .map(|q| {
+                seen[q.index()] = q.0;
+                let mut closure = vec![q];
+                stack.push(q);
+                while let Some(s) = stack.pop() {
+                    for e in self.out_edges(s) {
+                        if e.havoc.is_empty() && seen[e.dst.index()] != q.0 {
+                            seen[e.dst.index()] = q.0;
+                            closure.push(e.dst);
+                            stack.push(e.dst);
+                        }
+                    }
                 }
-            }
-        }
-        seen
+                closure.sort_unstable();
+                closure
+            })
+            .collect()
+    }
+
+    /// The τ-closures and observable weak steps of every location.
+    pub(crate) fn weak_steps(&self) -> WeakSteps<'_> {
+        let tau = self.tau_closures();
+        let (havocs, edge_havoc) = intern(self.edges.iter().map(|e| &e.havoc));
+        // `seen[q2] == stamp` once the current (location, havoc id)
+        // group holds `q2`.
+        let mut seen = vec![0usize; self.num_locs()];
+        let mut stamp = 0usize;
+        let steps = tau
+            .iter()
+            .map(|closure| {
+                // The observable edges leaving the closure, then the
+                // τ-closures of their targets, one havoc id at a time.
+                let mut moves: Vec<(u32, AcfaLocId)> = closure
+                    .iter()
+                    .flat_map(|q1| &self.out[q1.index()])
+                    .filter(|&&i| !self.edges[i].havoc.is_empty())
+                    .map(|&i| (edge_havoc[i], self.edges[i].dst))
+                    .collect();
+                moves.sort_unstable();
+                moves.dedup();
+                let mut s = Vec::new();
+                for group in moves.chunk_by(|x, y| x.0 == y.0) {
+                    stamp += 1;
+                    let start = s.len();
+                    for &(h, d) in group {
+                        for &q2 in &tau[d.index()] {
+                            if seen[q2.index()] != stamp {
+                                seen[q2.index()] = stamp;
+                                s.push((h, q2));
+                            }
+                        }
+                    }
+                    s[start..].sort_unstable();
+                }
+                s
+            })
+            .collect();
+        WeakSteps { tau, havocs, steps }
     }
 
     /// Renders the ACFA as text, naming predicates with `pred_name`
@@ -165,6 +218,34 @@ impl Acfa {
         }
         s
     }
+}
+
+/// The weak transition structure of an ACFA, with havoc sets interned
+/// to ids (see [`Acfa::weak_steps`]).
+pub(crate) struct WeakSteps<'a> {
+    /// `tau[q]`: the τ-closure of `q`, sorted, `q` included.
+    pub tau: Vec<Vec<AcfaLocId>>,
+    /// The distinct havoc sets of the edges, indexed by havoc id.
+    pub havocs: Vec<&'a BTreeSet<Var>>,
+    /// `steps[q]`: every observable weak step `q ⇒Y⇒ q''` (τ\*, one
+    /// edge with nonempty havoc set `Y`, τ\*) as a `(havoc id of Y,
+    /// q'')` pair, sorted and deduplicated.
+    pub steps: Vec<Vec<(u32, AcfaLocId)>>,
+}
+
+/// Numbers the distinct items in order of first occurrence: returns
+/// them and the id of each input item.
+pub(crate) fn intern<T: Hash + Eq>(items: impl Iterator<Item = T>) -> (Vec<T>, Vec<u32>) {
+    let mut ids: HashMap<T, u32> = HashMap::new();
+    let of_item = items
+        .map(|item| {
+            let next = ids.len() as u32;
+            *ids.entry(item).or_insert(next)
+        })
+        .collect();
+    let mut distinct: Vec<(T, u32)> = ids.into_iter().collect();
+    distinct.sort_unstable_by_key(|&(_, id)| id);
+    (distinct.into_iter().map(|(item, _)| item).collect(), of_item)
 }
 
 impl fmt::Display for Acfa {
@@ -214,11 +295,9 @@ mod tests {
             AcfaEdge { src: AcfaLocId(2), havoc: BTreeSet::new(), dst: AcfaLocId(0) },
         ];
         let a = Acfa::from_parts(vec![r.clone(), r.clone(), r], vec![false; 3], edges);
-        let t0 = a.tau_reach(AcfaLocId(0));
-        assert!(t0.contains(&AcfaLocId(0)) && t0.contains(&AcfaLocId(1)));
-        assert!(!t0.contains(&AcfaLocId(2)));
-        let t2 = a.tau_reach(AcfaLocId(2));
-        assert_eq!(t2.len(), 3); // 2 -τ-> 0 -τ-> 1
+        let tau = a.tau_closures();
+        assert_eq!(tau[0], [AcfaLocId(0), AcfaLocId(1)]);
+        assert_eq!(tau[2].len(), 3); // 2 -τ-> 0 -τ-> 1
     }
 
     #[test]

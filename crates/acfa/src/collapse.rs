@@ -15,12 +15,12 @@
 //!   sets (havocking more variables only adds behaviors, so both
 //!   transformations over-approximate).
 
-use crate::acfa::{Acfa, AcfaEdge, AcfaLocId};
+use crate::acfa::{intern, Acfa, AcfaEdge, AcfaLocId, WeakSteps};
 use circ_ir::Var;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Output of [`collapse`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollapseResult {
     /// The quotient ACFA.
     pub acfa: Acfa,
@@ -31,57 +31,37 @@ pub struct CollapseResult {
     pub iterations: usize,
 }
 
-/// One weak-transition signature entry: `None` marks a silent move.
-type SigEntry = (Option<BTreeSet<Var>>, u32);
+/// The havoc id that marks a silent move in a signature.
+const TAU: u32 = u32::MAX;
 
 /// Computes the weak bisimilarity quotient of `g`.
+///
+/// Signature refinement: each round splits every block by the blocks
+/// its members reach with silent and with observable weak moves, until
+/// a round splits nothing. Blocks are numbered by first occurrence in
+/// location order, so the entry (location 0) is always block 0.
 pub fn collapse(g: &Acfa) -> CollapseResult {
-    let n = g.num_locs();
-    let tau: Vec<BTreeSet<AcfaLocId>> = g.locs().map(|q| g.tau_reach(q)).collect();
+    let weak = g.weak_steps();
 
     // Initial partition: by (region, atomic).
-    let mut block: Vec<u32> = vec![0; n];
-    {
-        let mut key_to_block: BTreeMap<(Vec<u8>, bool), u32> = BTreeMap::new();
-        for q in g.locs() {
-            // Use the Display form of the region as a stable partition
-            // key (regions are kept sorted, so equality is syntactic).
-            let key = (format!("{}", g.region(q)).into_bytes(), g.is_atomic(q));
-            let next = key_to_block.len() as u32;
-            let b = *key_to_block.entry(key).or_insert(next);
-            block[q.index()] = b;
-        }
-    }
+    let (classes, mut block) = intern(g.locs().map(|q| (g.region(q), g.is_atomic(q))));
+    let mut num_blocks = classes.len();
 
-    // Refine until stable.
+    // Refine until stable. A round only splits blocks (its key holds
+    // the old block), so it is stable iff the block count holds.
     let mut iterations = 0usize;
     loop {
         iterations += 1;
-        let mut key_to_block: BTreeMap<(u32, BTreeSet<SigEntry>), u32> = BTreeMap::new();
-        let mut new_block = vec![0u32; n];
-        for q in g.locs() {
-            let sig = signature(g, &tau, &block, q);
-            let key = (block[q.index()], sig);
-            let next = key_to_block.len() as u32;
-            new_block[q.index()] = *key_to_block.entry(key).or_insert(next);
-        }
-        let stable = same_partition(&block, &new_block);
-        block = new_block;
+        let (keys, next) =
+            intern(g.locs().map(|q| (block[q.index()], signature(&weak, &block, q))));
+        let stable = keys.len() == num_blocks;
+        num_blocks = keys.len();
+        block = next;
         if stable {
             break;
         }
     }
-
-    // Renumber so the entry's class is location 0.
-    let entry_block = block[g.entry().index()];
-    let mut renum: BTreeMap<u32, u32> = BTreeMap::new();
-    renum.insert(entry_block, 0);
-    for &b in &block {
-        let next = renum.len() as u32;
-        renum.entry(b).or_insert(next);
-    }
-    let num_blocks = renum.len();
-    let map: Vec<AcfaLocId> = block.iter().map(|b| AcfaLocId(renum[b])).collect();
+    let map: Vec<AcfaLocId> = block.iter().map(|&b| AcfaLocId(b)).collect();
 
     // Representative label/atomicity per class (all members agree).
     let mut regions = vec![None; num_blocks];
@@ -114,41 +94,21 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     CollapseResult { acfa: Acfa::from_parts(regions, atomic, edges), map, iterations }
 }
 
-fn signature(
-    g: &Acfa,
-    tau: &[BTreeSet<AcfaLocId>],
-    block: &[u32],
-    q: AcfaLocId,
-) -> BTreeSet<SigEntry> {
-    let mut sig = BTreeSet::new();
-    let my_block = block[q.index()];
-    for &s1 in &tau[q.index()] {
-        // Silent weak moves to other classes.
-        if block[s1.index()] != my_block {
-            sig.insert((None, block[s1.index()]));
-        }
-        for e in g.out_edges(s1) {
-            if e.havoc.is_empty() {
-                continue; // covered by the τ-closure above
-            }
-            for &s2 in &tau[e.dst.index()] {
-                sig.insert((Some(e.havoc.clone()), block[s2.index()]));
-            }
-        }
-    }
+/// The weak moves of `q` under `block`: `(TAU, b)` for each other
+/// block `b` its τ-closure enters, `(havoc id, b)` for each observable
+/// weak step into block `b`; sorted and deduplicated.
+fn signature(weak: &WeakSteps<'_>, block: &[u32], q: AcfaLocId) -> Vec<(u32, u32)> {
+    let mine = block[q.index()];
+    let silent = weak.tau[q.index()]
+        .iter()
+        .map(|s| block[s.index()])
+        .filter(|&b| b != mine)
+        .map(|b| (TAU, b));
+    let observable = weak.steps[q.index()].iter().map(|&(h, s)| (h, block[s.index()]));
+    let mut sig: Vec<(u32, u32)> = silent.chain(observable).collect();
+    sig.sort_unstable();
+    sig.dedup();
     sig
-}
-
-/// Do two block assignments induce the same partition?
-fn same_partition(a: &[u32], b: &[u32]) -> bool {
-    let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut bwd: BTreeMap<u32, u32> = BTreeMap::new();
-    for (&x, &y) in a.iter().zip(b) {
-        if *fwd.entry(x).or_insert(y) != y || *bwd.entry(y).or_insert(x) != x {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -19,11 +19,9 @@
 //! the main thread (in context `A^∞`) is simulated by `A`, then `A`
 //! soundly over-approximates every thread.
 
-use crate::acfa::{Acfa, AcfaLocId};
+use crate::acfa::{intern, Acfa, AcfaLocId};
 use circ_governor::{Budget, Exhausted};
-use circ_ir::Var;
 use circ_par::Pool;
-use std::collections::BTreeSet;
 
 /// Decides `g ⪯ a` using syntactic region containment (every cube of
 /// the left region subsumed by some cube of the right). See
@@ -85,6 +83,11 @@ pub fn check_sim_counting_pool(
 /// [`Exhausted`]; the partially-pruned relation is an
 /// over-approximation of the greatest simulation, so no verdict can
 /// soundly be extracted from it and none is returned.
+///
+/// The regions of both automata are interned first, and `contains` is
+/// asked once per distinct `(g-region, a-region)` pair that some
+/// equally-atomic location pair carries; the label pass reads the
+/// answers from that memo.
 pub fn check_sim_budgeted(
     g: &Acfa,
     a: &Acfa,
@@ -95,37 +98,49 @@ pub fn check_sim_budgeted(
     let mut pairs: u64 = 0;
     let ng = g.num_locs();
     let na = a.num_locs();
+    let weak = a.weak_steps();
 
-    // Weak observable moves of `a`: (Y', destination) pairs.
-    let a_tau: Vec<BTreeSet<AcfaLocId>> = a.locs().map(|p| a.tau_reach(p)).collect();
-    let mut weak: Vec<Vec<(BTreeSet<Var>, AcfaLocId)>> = vec![Vec::new(); na];
-    for p in a.locs() {
-        let mut set: BTreeSet<(BTreeSet<Var>, AcfaLocId)> = BTreeSet::new();
-        for &p1 in &a_tau[p.index()] {
-            for e in a.out_edges(p1) {
-                if e.havoc.is_empty() {
-                    continue;
-                }
-                for &p2 in &a_tau[e.dst.index()] {
-                    set.insert((e.havoc.clone(), p2));
-                }
-            }
-        }
-        weak[p.index()] = set.into_iter().collect();
+    // Each g-edge as (havoc id, destination); `covered[h][y]` says
+    // whether g-havoc `h` is a subset of a-havoc `y`.
+    let (g_havocs, g_edge_havoc) = intern(g.edges().iter().map(|e| &e.havoc));
+    let covered: Vec<Vec<bool>> =
+        g_havocs.iter().map(|h| weak.havocs.iter().map(|y| h.is_subset(y)).collect()).collect();
+    let mut g_out: Vec<Vec<(u32, usize)>> = vec![Vec::new(); ng];
+    for (e, &h) in g.edges().iter().zip(&g_edge_havoc) {
+        g_out[e.src.index()].push((h, e.dst.index()));
     }
 
     // Greatest fixpoint: start from the label condition, prune. The
-    // label row of each g-location only reads the automata, so the
-    // rows are computed concurrently.
+    // distinct oracle questions only read the automata, so they are
+    // answered concurrently.
     budget.check()?;
-    let g_locs: Vec<AcfaLocId> = g.locs().collect();
-    let mut rel: Vec<Vec<bool>> = pool.map(&g_locs, |&q| {
-        a.locs()
-            .map(|p| g.is_atomic(q) == a.is_atomic(p) && contains(g.region(q), a.region(p)))
-            .collect()
-    });
+    let (g_regions, g_region) = intern(g.locs().map(|q| g.region(q)));
+    let (a_regions, a_region) = intern(a.locs().map(|p| a.region(p)));
+    let nar = a_regions.len();
+    // Index of the (g-region, a-region) pair labeling (q, p).
+    let pair_of = |q: AcfaLocId, p: AcfaLocId| {
+        g_region[q.index()] as usize * nar + a_region[p.index()] as usize
+    };
+    let same_atomicity = |q: AcfaLocId, p: AcfaLocId| g.is_atomic(q) == a.is_atomic(p);
+    let mut asked = vec![false; g_regions.len() * nar];
+    for q in g.locs() {
+        for p in a.locs().filter(|&p| same_atomicity(q, p)) {
+            asked[pair_of(q, p)] = true;
+        }
+    }
+    let questions: Vec<usize> = (0..asked.len()).filter(|&i| asked[i]).collect();
+    let answers = pool.map(&questions, |&i| contains(g_regions[i / nar], a_regions[i % nar]));
+    let mut memo = asked;
+    for (i, answer) in questions.into_iter().zip(answers) {
+        memo[i] = answer;
+    }
+    let mut rel: Vec<Vec<bool>> = g
+        .locs()
+        .map(|q| a.locs().map(|p| same_atomicity(q, p) && memo[pair_of(q, p)]).collect())
+        .collect();
     pairs += (ng as u64) * (na as u64);
 
+    let g_locs: Vec<AcfaLocId> = g.locs().collect();
     let mut changed = true;
     while changed {
         budget.check()?;
@@ -140,18 +155,19 @@ pub fn check_sim_budgeted(
                         return false;
                     }
                     examined += 1;
-                    g.out_edges(q).all(|e| {
+                    g_out[q.index()].iter().all(|&(h, dst)| {
                         // A havoc edge may rewrite the old values, so any
                         // weak Y′-move with Y ⊆ Y′ matches — including
                         // Y = ∅ (the paper's condition (2) does not
                         // special-case silent moves). Silent moves may
                         // additionally be matched by staying put (weak
                         // simulation).
-                        let by_weak_move = weak[p.index()]
+                        let target = &rel[dst];
+                        let by_weak_move = weak.steps[p.index()]
                             .iter()
-                            .any(|(y, p2)| e.havoc.is_subset(y) && rel[e.dst.index()][p2.index()]);
-                        let by_stutter = e.havoc.is_empty()
-                            && a_tau[p.index()].iter().any(|p2| rel[e.dst.index()][p2.index()]);
+                            .any(|&(y, p2)| covered[h as usize][y as usize] && target[p2.index()]);
+                        let by_stutter = g_havocs[h as usize].is_empty()
+                            && weak.tau[p.index()].iter().any(|p2| target[p2.index()]);
                         by_weak_move || by_stutter
                     })
                 })
@@ -177,6 +193,7 @@ mod tests {
     use crate::acfa::AcfaEdge;
     use crate::collapse::collapse;
     use crate::cube::{Cube, PredIx, Region};
+    use circ_ir::Var;
 
     fn v(n: u32) -> Var {
         Var::from_raw(n)

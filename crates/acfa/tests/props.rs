@@ -7,10 +7,16 @@
 //! Inputs are drawn from a deterministic seeded generator so failures
 //! reproduce exactly; each assertion message carries the case index.
 
-use circ_acfa::{check_sim, collapse, Acfa, AcfaEdge, AcfaLocId, Cube, PredIx, Region};
+use circ_acfa::{
+    check_sim, check_sim_budgeted, check_sim_counting, collapse, Acfa, AcfaEdge, AcfaLocId,
+    CollapseResult, Cube, PredIx, Region,
+};
+use circ_governor::Budget;
 use circ_ir::Var;
+use circ_par::Pool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Mutex;
 
 const NPREDS: usize = 2;
 const NVARS: u32 = 2;
@@ -37,11 +43,16 @@ fn gen_region(rng: &mut StdRng) -> Region {
 }
 
 fn gen_acfa(rng: &mut StdRng) -> Acfa {
-    let n = rng.gen_range(2u32..6);
+    gen_acfa_sized(rng, 6, 8)
+}
+
+/// An ACFA with `2..max_locs` locations and `1..max_edges` edges.
+fn gen_acfa_sized(rng: &mut StdRng, max_locs: u32, max_edges: usize) -> Acfa {
+    let n = rng.gen_range(2u32..max_locs);
     let regions = (0..n).map(|_| gen_region(rng)).collect();
     let mut atomic: Vec<bool> = (0..n).map(|_| rng.gen_bool_uniform()).collect();
     atomic[0] = false; // entry stays non-atomic
-    let edges = (0..rng.gen_range(1usize..8))
+    let edges = (0..rng.gen_range(1usize..max_edges))
         .map(|_| {
             let src = rng.gen_range(0..n);
             let dst = rng.gen_range(0..n);
@@ -122,6 +133,154 @@ fn collapse_is_idempotent() {
             twice.acfa.num_locs(),
             "case {case}: a quotient must be its own quotient: {g:?}"
         );
+    }
+}
+
+/// The signature refinement `collapse` used before it ran over interned
+/// ids, kept as a reference: `BTreeSet` signatures rebuilt from the
+/// τ-closures every round, blocks keyed by the region's display form.
+fn reference_collapse(g: &Acfa) -> CollapseResult {
+    type SigEntry = (Option<BTreeSet<Var>>, u32);
+    let n = g.num_locs();
+    let tau: Vec<BTreeSet<AcfaLocId>> =
+        g.tau_closures().into_iter().map(|c| c.into_iter().collect()).collect();
+    let signature = |block: &[u32], q: AcfaLocId| {
+        let mut sig: BTreeSet<SigEntry> = BTreeSet::new();
+        let my_block = block[q.index()];
+        for &s1 in &tau[q.index()] {
+            if block[s1.index()] != my_block {
+                sig.insert((None, block[s1.index()]));
+            }
+            for e in g.out_edges(s1) {
+                if e.havoc.is_empty() {
+                    continue;
+                }
+                for &s2 in &tau[e.dst.index()] {
+                    sig.insert((Some(e.havoc.clone()), block[s2.index()]));
+                }
+            }
+        }
+        sig
+    };
+    let same_partition = |a: &[u32], b: &[u32]| {
+        let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut bwd: BTreeMap<u32, u32> = BTreeMap::new();
+        a.iter()
+            .zip(b)
+            .all(|(&x, &y)| *fwd.entry(x).or_insert(y) == y && *bwd.entry(y).or_insert(x) == x)
+    };
+
+    let mut block: Vec<u32> = vec![0; n];
+    let mut key_to_block: BTreeMap<(String, bool), u32> = BTreeMap::new();
+    for q in g.locs() {
+        let key = (format!("{}", g.region(q)), g.is_atomic(q));
+        let next = key_to_block.len() as u32;
+        block[q.index()] = *key_to_block.entry(key).or_insert(next);
+    }
+    let mut iterations = 0usize;
+    loop {
+        iterations += 1;
+        let mut key_to_block: BTreeMap<(u32, BTreeSet<SigEntry>), u32> = BTreeMap::new();
+        let mut new_block = vec![0u32; n];
+        for q in g.locs() {
+            let key = (block[q.index()], signature(&block, q));
+            let next = key_to_block.len() as u32;
+            new_block[q.index()] = *key_to_block.entry(key).or_insert(next);
+        }
+        let stable = same_partition(&block, &new_block);
+        block = new_block;
+        if stable {
+            break;
+        }
+    }
+
+    // Renumber so the entry's class is location 0.
+    let mut renum: BTreeMap<u32, u32> = BTreeMap::new();
+    renum.insert(block[g.entry().index()], 0);
+    for &b in &block {
+        let next = renum.len() as u32;
+        renum.entry(b).or_insert(next);
+    }
+    let map: Vec<AcfaLocId> = block.iter().map(|b| AcfaLocId(renum[b])).collect();
+    let mut regions = vec![None; renum.len()];
+    let mut atomic = vec![false; renum.len()];
+    for q in g.locs() {
+        let b = map[q.index()].index();
+        if regions[b].is_none() {
+            regions[b] = Some(g.region(q).clone());
+            atomic[b] = g.is_atomic(q);
+        }
+    }
+    let mut edge_map: BTreeMap<(u32, u32), BTreeSet<Var>> = BTreeMap::new();
+    for e in g.edges() {
+        let (bs, bd) = (map[e.src.index()], map[e.dst.index()]);
+        if bs != bd || !e.havoc.is_empty() {
+            edge_map.entry((bs.0, bd.0)).or_default().extend(e.havoc.iter().copied());
+        }
+    }
+    let edges = edge_map
+        .into_iter()
+        .map(|((s, d), havoc)| AcfaEdge { src: AcfaLocId(s), havoc, dst: AcfaLocId(d) })
+        .collect();
+    let regions = regions.into_iter().map(Option::unwrap).collect();
+    CollapseResult { acfa: Acfa::from_parts(regions, atomic, edges), map, iterations }
+}
+
+/// `g` with every location relabeled by the region of location
+/// `q % 2`, so that many locations start in one block.
+fn two_labels(g: &Acfa) -> Acfa {
+    let regions = g.locs().map(|q| g.region(AcfaLocId(q.0 % 2)).clone()).collect();
+    let atomic = g.locs().map(|q| g.is_atomic(q)).collect();
+    Acfa::from_parts(regions, atomic, g.edges().to_vec())
+}
+
+#[test]
+fn collapse_matches_reference_refinement() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_0009);
+    let mut multi_round = 0;
+    for case in 0..4 * CASES {
+        let g = match case % 3 {
+            0 => gen_acfa(&mut rng),
+            1 => gen_acfa_sized(&mut rng, 14, 28),
+            _ => two_labels(&gen_acfa_sized(&mut rng, 14, 28)),
+        };
+        let got = collapse(&g);
+        assert_eq!(got, reference_collapse(&g), "case {case}: {g:?}");
+        if got.iterations > 2 {
+            multi_round += 1;
+        }
+    }
+    assert!(multi_round > 0, "the cases never needed a second splitting round");
+}
+
+#[test]
+fn check_sim_asks_each_region_pair_once() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_000a);
+    for case in 0..2 * CASES {
+        let g = gen_acfa_sized(&mut rng, 10, 20);
+        // A quotient (simulates `g`), `g` itself, and an unrelated ACFA.
+        let a = match case % 3 {
+            0 => collapse(&g).acfa,
+            1 => g.clone(),
+            _ => gen_acfa_sized(&mut rng, 10, 20),
+        };
+        for jobs in [1, 2] {
+            let calls: Mutex<HashMap<(Region, Region), u32>> = Mutex::new(HashMap::new());
+            let counting = |x: &Region, y: &Region| {
+                *calls.lock().unwrap().entry((x.clone(), y.clone())).or_insert(0) += 1;
+                x.contained_in(y)
+            };
+            let got = check_sim_budgeted(&g, &a, &counting, &Pool::new(jobs), &Budget::unlimited())
+                .expect("an unlimited budget cannot exhaust");
+            let calls = calls.into_inner().unwrap();
+            assert!(
+                calls.values().all(|&n| n == 1),
+                "case {case} jobs {jobs}: a region pair was asked twice: {calls:?}"
+            );
+            let syntactic = check_sim_counting(&g, &a, &|x, y| x.contained_in(y));
+            assert_eq!(got, syntactic, "case {case} jobs {jobs}");
+            assert_eq!(got.0, check_sim(&g, &a), "case {case} jobs {jobs}");
+        }
     }
 }
 

@@ -763,28 +763,6 @@ fn omega_good(
                 }
             }
             if !abs.region_contained(&filtered, g.region(n)) {
-                if std::env::var_os("CIRC_DEBUG_OMEGA").is_some() {
-                    eprintln!(
-                        "omega_good fails: n={n} (class {q}, label {}) edge {}(label {})-{:?}->{}(label {}) \
-                         r(n)={} result={}",
-                        a.region(q),
-                        e.src,
-                        a.region(e.src),
-                        e.havoc,
-                        e.dst,
-                        a.region(e.dst),
-                        g.region(n),
-                        filtered
-                    );
-                    let witness = reach.iter().find(|cfg| {
-                        if q == e.src {
-                            cfg.count(e.src).at_least(2)
-                        } else {
-                            cfg.count(e.src).positive() && cfg.count(q).positive()
-                        }
-                    });
-                    eprintln!("  enabling cfg: {witness:?}");
-                }
                 return Ok(false);
             }
         }
