@@ -118,31 +118,32 @@ pub fn parse_line(line: &str) -> Result<JournalEntry, String> {
         .map_err(|_| "bad digest field".to_string())?;
     let config = u64::from_str_radix(str_field("config")?, 16)
         .map_err(|_| "bad config field".to_string())?;
+    let mut row = row_from_json(&v)?;
+    row.retries = u64_field("retries")?;
+    Ok(JournalEntry { digest, config, row })
+}
+
+/// Decodes the fields a journal line and a `--row-json` row share —
+/// file, verdict, detail, stage, `time_s` and the pipeline block —
+/// into a fresh [`FileRow`]; the supervision fields keep their
+/// defaults.
+pub fn row_from_json(v: &Value) -> Result<FileRow, String> {
+    let str_field = |key: &str| -> Result<&str, String> {
+        v.get(key).and_then(Value::as_str).ok_or(format!("missing string `{key}`"))
+    };
     let verdict_name = str_field("verdict")?;
     let verdict =
         Verdict::from_name(verdict_name).ok_or(format!("unknown verdict `{verdict_name}`"))?;
-    let time_s = v
+    let mut row =
+        FileRow::new(str_field("file")?.to_string(), verdict, str_field("detail")?.into());
+    row.stage = str_field("stage")?.to_string();
+    row.time_s = v
         .get("time_s")
         .and_then(Value::as_f64)
         .filter(|t| t.is_finite() && *t >= 0.0)
         .ok_or("missing or unusable `time_s`")?;
-    let pipeline = pipeline_from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
-    Ok(JournalEntry {
-        digest,
-        config,
-        row: FileRow {
-            file: str_field("file")?.to_string(),
-            verdict,
-            detail: str_field("detail")?.to_string(),
-            stage: str_field("stage")?.to_string(),
-            time_s,
-            pipeline,
-            retries: u64_field("retries")?,
-            isolated_crashes: 0,
-            resumed: false,
-            cancelled: false,
-        },
-    })
+    row.pipeline = pipeline_from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
+    Ok(row)
 }
 
 /// Rebuilds [`PipelineStats`] from its `to_json` rendering. The two

@@ -85,10 +85,9 @@ use circ_governor::{
 };
 use circ_ir::{structural_digest, MtProgram};
 use circ_par::Pool;
-use circ_smt::{Atom, Formula, SatResult};
+use circ_smt::{Formula, SatResult};
 use circ_stats::{BatchTotals, PipelineStats};
 use circ_triage::{TriageConfig, TriageDecision, TriageWitness};
-use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -424,25 +423,7 @@ pub fn worst_exit(rows: &[FileRow]) -> u8 {
 /// [`FileRow`]. Any structural damage (a child killed mid-print) is
 /// an `Err`; the supervisor degrades it to an `internal-error` row.
 pub fn parse_row_json(line: &str) -> Result<FileRow, String> {
-    let v = mjson::parse(line.trim())?;
-    let str_field = |key: &str| -> Result<&str, String> {
-        v.get(key).and_then(mjson::Value::as_str).ok_or(format!("missing string `{key}`"))
-    };
-    let verdict_name = str_field("verdict")?;
-    let verdict =
-        Verdict::from_name(verdict_name).ok_or(format!("unknown verdict `{verdict_name}`"))?;
-    let time_s = v
-        .get("time_s")
-        .and_then(mjson::Value::as_f64)
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .ok_or("missing or unusable `time_s`")?;
-    let pipeline = journal::pipeline_from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
-    let mut row =
-        FileRow::new(str_field("file")?.to_string(), verdict, str_field("detail")?.to_string());
-    row.stage = str_field("stage")?.to_string();
-    row.time_s = time_s;
-    row.pipeline = pipeline;
-    Ok(row)
+    journal::row_from_json(&mjson::parse(line.trim())?)
 }
 
 impl BatchReport {
@@ -740,22 +721,6 @@ pub struct FlushOutcome {
     pub warnings: Vec<String>,
 }
 
-/// Merges `disk` and `ours` entry-wise, ours winning on key
-/// collisions. Both sides key by canonical LIA atoms and the solver
-/// is deterministic, so colliding values are identical anyway; the
-/// union only ever *adds* warm-start coverage.
-fn merge_abs_seeds(disk: &AbsSeed, ours: &AbsSeed) -> AbsSeed {
-    let mut entails: BTreeMap<(Vec<Atom>, Atom), bool> = BTreeMap::new();
-    let mut sat: BTreeMap<Vec<Atom>, bool> = BTreeMap::new();
-    for (key, result) in disk.entails_entries().iter().chain(ours.entails_entries()) {
-        entails.insert(key.clone(), *result);
-    }
-    for (key, result) in disk.sat_entries().iter().chain(ours.sat_entries()) {
-        sat.insert(key.clone(), *result);
-    }
-    AbsSeed::from_entries(entails.into_iter().collect(), sat.into_iter().collect())
-}
-
 /// Flushes the run's learned state to `dir` under the directory's
 /// advisory lock: re-reads whatever is on disk *now*, merges our
 /// entries in (read-merge-write), and rewrites each artifact with a
@@ -805,12 +770,13 @@ pub fn flush_caches_in(
         }
     };
 
+    // One read-merge-write per artifact: disk ∪ ours, ours winning.
     let abs_path = dir.join(ABS_CACHE_FILE);
     let disk_abs = circ_core::persist::load_abs_cache_in(io, &abs_path)
         .ok()
         .flatten()
         .unwrap_or_else(AbsSeed::empty);
-    let merged_abs = merge_abs_seeds(&disk_abs, snapshot);
+    let merged_abs = AbsSeed::union([&disk_abs, snapshot]);
     if save(&abs_path, &circ_core::persist::render_abs_cache(&merged_abs), &mut out) {
         out.abs_saved = merged_abs.len();
     }
@@ -820,16 +786,10 @@ pub fn flush_caches_in(
         .ok()
         .flatten()
         .unwrap_or_default();
-    // Ours first: `merged_entries` is first-wins per formula, and the
-    // solver is deterministic, so the order only breaks ties between
-    // identical values.
-    let merged_solver = SolverPersist::with_seed(persist.merged_entries());
-    merged_solver.absorb(disk_solver);
-    let merged_solver_entries = merged_solver.merged_entries();
-    if save(&solver_path, &circ_smt::persist::render_solver_cache(&merged_solver_entries), &mut out)
-    {
-        out.solver_saved =
-            merged_solver_entries.iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)).count();
+    let merged_solver: Vec<_> =
+        persist.union_with(&disk_solver.into_iter().collect()).into_iter().collect();
+    if save(&solver_path, &circ_smt::persist::render_solver_cache(&merged_solver), &mut out) {
+        out.solver_saved = merged_solver.len();
     }
 
     if let Some(ours) = preds {
@@ -1053,11 +1013,11 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
     (r, learned)
 }
 
-/// Checks one file: read it, then run [`check_source`] against an
-/// isolated cache seeded from the shared warm start, so per-file
-/// statistics are independent of which worker ran it. Returns the
-/// row plus the file's cache and learned predicate-store entries —
-/// both for sequential post-run merging.
+/// Checks one file: read it, then run [`check_source`] against its
+/// own cache over the shared warm-start seed, so per-file statistics
+/// are independent of which worker ran it. Returns the row plus what
+/// the file learned — the entailment answers the seed lacked and the
+/// predicate-store entries — for post-run merging.
 #[allow(clippy::too_many_arguments)]
 fn check_file(
     path: &Path,
@@ -1081,12 +1041,12 @@ fn check_file(
     let ctx =
         CheckCtx { config, file_timeout, file_mem, cache: &cache, persist, pred_seed, faults };
     let (row, preds) = check_source(&file, &src, &ctx);
-    (row, (cache, preds))
+    (row, (cache.learned(), preds))
 }
 
-/// What one batch file learned: its isolated entailment cache and its
-/// predicate-store entries, merged in input order after the run.
-type Learned = (AbsCache, PredStore);
+/// What one batch file learned: the entailment answers its seed
+/// lacked and its predicate-store entries, merged after the run.
+type Learned = (AbsSeed, PredStore);
 
 /// Checks one file exactly as an in-process batch worker would — the
 /// same budget carving across race variables, the same cache seeding,
@@ -1370,6 +1330,27 @@ fn describe_status(status: &std::process::ExitStatus) -> String {
     status.to_string()
 }
 
+/// Adds `rows` to a roll-up: one file, one verdict count, and the
+/// row's supervision and pipeline counters each. The one tally behind
+/// the batch report and `circ serve`'s `stats`.
+pub fn tally(totals: &mut BatchTotals, rows: &[FileRow]) {
+    for row in rows {
+        totals.files += 1;
+        match row.verdict {
+            Verdict::Safe => totals.safe += 1,
+            Verdict::Race => totals.races += 1,
+            Verdict::Inconclusive | Verdict::InternalError => totals.inconclusive += 1,
+            Verdict::BudgetExhausted => totals.budget_exhausted += 1,
+            Verdict::CompileError => totals.compile_errors += 1,
+        }
+        totals.retries += row.retries;
+        totals.isolated_crashes += row.isolated_crashes;
+        totals.resumed += u64::from(row.resumed);
+        totals.cancelled += u64::from(row.cancelled);
+        totals.pipeline.add(&row.pipeline);
+    }
+}
+
 /// Runs the whole batch: load caches and journal, fan out under
 /// supervision, aggregate, save.
 ///
@@ -1462,14 +1443,14 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     let results = pool.try_map(&tasks, |task| supervisor.supervise(task));
 
     let mut rows = Vec::with_capacity(n);
-    let mut caches = Vec::with_capacity(n);
+    let mut learned_abs = Vec::with_capacity(n);
     let mut learned_stores = Vec::with_capacity(n);
     for (path, result) in inputs.iter().zip(results) {
         match result {
-            Ok((row, (cache, learned))) => {
+            Ok((row, (abs, preds))) => {
                 rows.push(row);
-                caches.push(cache);
-                learned_stores.push(learned);
+                learned_abs.push(abs);
+                learned_stores.push(preds);
             }
             Err(e) => {
                 // Last-resort containment: a panic that escaped the
@@ -1479,7 +1460,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
                     Verdict::InternalError,
                     e.message,
                 ));
-                caches.push(AbsCache::disabled());
+                learned_abs.push(AbsSeed::empty());
                 learned_stores.push(PredStore::new());
             }
         }
@@ -1491,21 +1472,8 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
         ));
     }
 
-    let mut totals = BatchTotals { files: rows.len() as u64, ..BatchTotals::default() };
-    for row in &rows {
-        match row.verdict {
-            Verdict::Safe => totals.safe += 1,
-            Verdict::Race => totals.races += 1,
-            Verdict::Inconclusive | Verdict::InternalError => totals.inconclusive += 1,
-            Verdict::BudgetExhausted => totals.budget_exhausted += 1,
-            Verdict::CompileError => totals.compile_errors += 1,
-        }
-        totals.retries += row.retries;
-        totals.isolated_crashes += row.isolated_crashes;
-        totals.resumed += u64::from(row.resumed);
-        totals.cancelled += u64::from(row.cancelled);
-        totals.pipeline.add(&row.pipeline);
-    }
+    let mut totals = BatchTotals::default();
+    tally(&mut totals, &rows);
     let quarantine: Vec<String> = rows
         .iter()
         .filter(|r| r.verdict == Verdict::InternalError)
@@ -1519,11 +1487,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     // are discarded; the save then round-trips the seed unchanged.)
     let mut flush_errors = append_failures.load(Ordering::Relaxed) as u64;
     let cache = cache_dir.map(|dir| {
-        let master = AbsCache::with_seed(&warm.abs_seed);
-        for file_cache in &caches {
-            master.absorb(file_cache);
-        }
-        let snapshot = master.snapshot();
+        let snapshot = AbsSeed::union(std::iter::once(&warm.abs_seed).chain(&learned_abs));
         let pred_master = warm.preds.take().map(|mut master| {
             for learned in learned_stores {
                 master.absorb(learned);

@@ -57,7 +57,8 @@ pub struct AbsCtx {
     assume_cache: ShardedMap<(Cube, EdgeId), Option<Cube>>,
     context_cache: ShardedMap<(Cube, BTreeSet<Var>, Region), Vec<Cube>>,
     /// Persistence store this context's solver was seeded from. On
-    /// drop, the solver's learned entries are absorbed back into it —
+    /// drop, the answers the solver learned (never the seed's, which
+    /// it only looked up) are absorbed back into it —
     /// `Drop` rather than an explicit hook because a context retires
     /// on many paths (every verdict return, plus panic unwinding) and
     /// absorption must happen exactly once on all of them. Inert (and

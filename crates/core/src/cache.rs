@@ -18,21 +18,24 @@
 //! cached answer can never change a [`crate::CircOutcome`]: the LIA
 //! procedure is deterministic and the cache only replays its answers.
 //!
-//! The cache is an `Arc` handle over a [`ShardedMap`] pair: cloning
-//! shares the store, so one cache can serve every `AbsCtx` of a run —
-//! and every run of a benchmark loop, which is where the
-//! CheckSim/ReachAndBuild alternation re-asks the bulk of its
-//! questions. Lookups *compute under the shard lock*, so per distinct
-//! key there is exactly one miss under any thread interleaving: the
-//! hit/miss/query totals reported by [`AbsCache::counters`] are
-//! identical between `--jobs 1` and `--jobs N` for the same query
-//! multiset.
+//! The cache is an `Arc` handle over a frozen [`AbsSeed`] and a
+//! [`ShardedMap`] pair of learned answers: cloning shares the store,
+//! so one cache can serve every `AbsCtx` of a run — and every run of
+//! a benchmark loop, which is where the CheckSim/ReachAndBuild
+//! alternation re-asks the bulk of its questions. Lookups *compute
+//! under the shard lock*, so per distinct key there is exactly one
+//! miss under any thread interleaving: the hit/miss/query totals
+//! reported by [`AbsCache::counters`] are identical between
+//! `--jobs 1` and `--jobs N` for the same query multiset.
 //!
 //! [`AbsCtx`]: crate::AbsCtx
 
 use circ_par::ShardedMap;
+use circ_smt::persist::union;
 use circ_smt::{lia, Atom};
 use circ_stats::AbsCounters;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,6 +50,9 @@ fn canon_premises(premises: &[Atom]) -> Vec<Atom> {
 
 #[derive(Debug)]
 struct CacheShared {
+    /// Answers loaded from disk, shared by reference and never copied.
+    seed: AbsSeed,
+    /// What this cache learned: only keys the seed does not answer.
     entails: ShardedMap<(Vec<Atom>, Atom), bool>,
     sat: ShardedMap<Vec<Atom>, bool>,
     queries: AtomicU64,
@@ -58,6 +64,12 @@ struct CacheShared {
 /// A shareable, thread-safe memo of abstraction-layer LIA queries
 /// (see the module docs for the key discipline). Clones share one
 /// store.
+///
+/// A warm cache ([`AbsCache::with_seed`]) holds its seed by reference:
+/// a query is answered from the seed, then from what this cache
+/// learned, and only then computed. A seed answer counts as a hit.
+/// The learned maps never hold a seed key, so [`AbsCache::learned`] is
+/// exactly what this cache would add to a flush.
 #[derive(Debug, Clone)]
 pub struct AbsCache {
     inner: Arc<CacheShared>,
@@ -70,9 +82,10 @@ impl Default for AbsCache {
 }
 
 impl AbsCache {
-    fn with_enabled(enabled: bool) -> AbsCache {
+    fn with_parts(seed: AbsSeed, enabled: bool) -> AbsCache {
         AbsCache {
             inner: Arc::new(CacheShared {
+                seed,
                 entails: ShardedMap::new(),
                 sat: ShardedMap::new(),
                 queries: AtomicU64::new(0),
@@ -85,13 +98,21 @@ impl AbsCache {
 
     /// A fresh, enabled cache.
     pub fn new() -> AbsCache {
-        AbsCache::with_enabled(true)
+        AbsCache::with_seed(&AbsSeed::empty())
     }
 
     /// A pass-through handle: queries are counted but never memoized.
     /// Used for the cached-vs-uncached differential.
     pub fn disabled() -> AbsCache {
-        AbsCache::with_enabled(false)
+        AbsCache::with_parts(AbsSeed::empty(), false)
+    }
+
+    /// A fresh, enabled cache warm-started from a frozen seed, shared
+    /// by reference: a seeded key's first query counts as a *hit* —
+    /// which is exactly the observable difference between a warm and
+    /// a cold run.
+    pub fn with_seed(seed: &AbsSeed) -> AbsCache {
+        AbsCache::with_parts(seed.clone(), true)
     }
 
     /// Whether this handle memoizes results.
@@ -115,9 +136,8 @@ impl AbsCache {
             return lia::entails(premises, goal);
         }
         let key = (canon_premises(premises), goal.canonical());
-        let (result, hit) = self.inner.entails.get_or_compute(key, || lia::entails(premises, goal));
-        self.record(hit);
-        result
+        let seeded = self.inner.seed.inner.entails.get(&key).copied();
+        self.lookup(seeded, &self.inner.entails, key, || lia::entails(premises, goal))
     }
 
     /// Is the conjunction of `atoms` satisfiable?
@@ -127,7 +147,25 @@ impl AbsCache {
             return lia::is_sat_conj(atoms);
         }
         let key = canon_premises(atoms);
-        let (result, hit) = self.inner.sat.get_or_compute(key, || lia::is_sat_conj(atoms));
+        let seeded = self.inner.seed.inner.sat.get(&key).copied();
+        self.lookup(seeded, &self.inner.sat, key, || lia::is_sat_conj(atoms))
+    }
+
+    /// The seed's answer if it has one, else the learned map's. The
+    /// seed goes first because it takes no lock; it never shares a
+    /// key with the learned map, so the order changes no answer and
+    /// no counter.
+    fn lookup<K: Eq + Hash>(
+        &self,
+        seeded: Option<bool>,
+        learned: &ShardedMap<K, bool>,
+        key: K,
+        compute: impl FnOnce() -> bool,
+    ) -> bool {
+        let (result, hit) = match seeded {
+            Some(result) => (result, true),
+            None => learned.get_or_compute(key, compute),
+        };
         self.record(hit);
         result
     }
@@ -142,57 +180,31 @@ impl AbsCache {
         }
     }
 
-    /// Number of memoized entries across both maps.
+    /// Number of entries answered without computing: seed plus
+    /// learned (the two never share a key).
     pub fn len(&self) -> usize {
-        self.inner.entails.len() + self.inner.sat.len()
+        self.inner.seed.len() + self.inner.entails.len() + self.inner.sat.len()
     }
 
-    /// True when nothing is memoized yet.
+    /// True when nothing is seeded or memoized.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// A fresh, enabled cache warm-started from a frozen seed.
-    /// Preloaded entries bypass the counters, so the first query of a
-    /// seeded key counts as a *hit* — which is exactly the observable
-    /// difference between a warm and a cold run.
-    pub fn with_seed(seed: &AbsSeed) -> AbsCache {
-        let cache = AbsCache::new();
-        for ((premises, goal), result) in &seed.inner.entails {
-            cache.inner.entails.insert((premises.clone(), goal.clone()), *result);
-        }
-        for (atoms, result) in &seed.inner.sat {
-            cache.inner.sat.insert(atoms.clone(), *result);
-        }
-        cache
+    /// What this cache learned, seed excluded.
+    pub fn learned(&self) -> AbsSeed {
+        AbsSeed::from_entries(self.inner.entails.snapshot(), self.inner.sat.snapshot())
     }
 
-    /// A frozen, deterministically ordered snapshot of the memoized
-    /// entries (sorted by key, so two caches with equal content
-    /// snapshot identically regardless of insertion order).
+    /// Seed plus learned: everything this cache would flush.
     pub fn snapshot(&self) -> AbsSeed {
-        let mut entails = self.inner.entails.snapshot();
-        entails.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut sat = self.inner.sat.snapshot();
-        sat.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        AbsSeed { inner: Arc::new(AbsSeedInner { entails, sat }) }
-    }
-
-    /// Folds another cache's entries into this one, first write wins,
-    /// without touching any counters. Used to merge what isolated
-    /// per-file batch caches learned into the store that gets saved.
-    pub fn absorb(&self, other: &AbsCache) {
-        for (key, result) in other.inner.entails.snapshot() {
-            self.inner.entails.insert(key, result);
-        }
-        for (key, result) in other.inner.sat.snapshot() {
-            self.inner.sat.insert(key, result);
-        }
+        AbsSeed::union([&self.inner.seed, &self.learned()])
     }
 }
 
-/// An immutable, shareable snapshot of [`AbsCache`] entries — what the
-/// persistence layer saves and what warm-started caches preload from.
+/// An immutable, shareable set of [`AbsCache`] entries — what the
+/// persistence layer loads and saves, and what warm-started caches
+/// look answers up in. Cloning shares the maps.
 ///
 /// Keeping the seed frozen (instead of handing concurrent runs one
 /// live shared cache) is what makes batch counters deterministic:
@@ -205,8 +217,8 @@ pub struct AbsSeed {
 
 #[derive(Debug, Default)]
 struct AbsSeedInner {
-    entails: Vec<((Vec<Atom>, Atom), bool)>,
-    sat: Vec<(Vec<Atom>, bool)>,
+    entails: HashMap<(Vec<Atom>, Atom), bool>,
+    sat: HashMap<Vec<Atom>, bool>,
 }
 
 impl AbsSeed {
@@ -215,28 +227,40 @@ impl AbsSeed {
         AbsSeed::default()
     }
 
-    /// Builds a seed from raw entry lists (the persistence loader),
-    /// sorting by key so equal content always yields an identical
-    /// seed. Keys are trusted to be canonical — they are either
-    /// freshly parsed through the canonicalizing atom constructors or
-    /// came from a snapshot.
+    /// Builds a seed from raw entry lists (the persistence loader).
+    /// Keys are trusted to be canonical — they are either freshly
+    /// parsed through the canonicalizing atom constructors or came
+    /// from a cache.
     pub fn from_entries(
-        mut entails: Vec<((Vec<Atom>, Atom), bool)>,
-        mut sat: Vec<(Vec<Atom>, bool)>,
+        entails: Vec<((Vec<Atom>, Atom), bool)>,
+        sat: Vec<(Vec<Atom>, bool)>,
     ) -> AbsSeed {
-        entails.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        sat.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        AbsSeed { inner: Arc::new(AbsSeedInner { entails, sat }) }
+        AbsSeed {
+            inner: Arc::new(AbsSeedInner {
+                entails: entails.into_iter().collect(),
+                sat: sat.into_iter().collect(),
+            }),
+        }
     }
 
-    /// Entailment entries (sorted by key when built by
-    /// [`AbsCache::snapshot`]).
-    pub fn entails_entries(&self) -> &[((Vec<Atom>, Atom), bool)] {
+    /// The key-wise union of `parts`, a later part winning on a
+    /// shared key (see [`circ_smt::persist::union`]).
+    pub fn union<'a>(parts: impl IntoIterator<Item = &'a AbsSeed> + Clone) -> AbsSeed {
+        AbsSeed {
+            inner: Arc::new(AbsSeedInner {
+                entails: union(parts.clone().into_iter().map(|p| &p.inner.entails)),
+                sat: union(parts.into_iter().map(|p| &p.inner.sat)),
+            }),
+        }
+    }
+
+    /// Entailment entries, in unspecified order.
+    pub fn entails_entries(&self) -> &HashMap<(Vec<Atom>, Atom), bool> {
         &self.inner.entails
     }
 
-    /// Conjunction-satisfiability entries.
-    pub fn sat_entries(&self) -> &[(Vec<Atom>, bool)] {
+    /// Conjunction-satisfiability entries, in unspecified order.
+    pub fn sat_entries(&self) -> &HashMap<Vec<Atom>, bool> {
         &self.inner.sat
     }
 
@@ -341,16 +365,17 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_without_counting() {
-        let master = AbsCache::new();
-        let worker = AbsCache::new();
-        worker.is_sat_conj(&[Atom::eq(x())]);
-        master.absorb(&worker);
-        assert_eq!(master.len(), 1);
-        assert_eq!(master.counters().queries, 0);
-        // First-write-wins: absorbing again is a no-op.
-        master.absorb(&worker);
-        assert_eq!(master.len(), 1);
+    fn learned_excludes_the_seed_and_union_keeps_each_key_once() {
+        let cold = AbsCache::new();
+        cold.is_sat_conj(&[Atom::eq(x())]);
+        let warm = AbsCache::with_seed(&cold.snapshot());
+        warm.is_sat_conj(&[Atom::eq(x())]);
+        warm.is_sat_conj(&[Atom::le(x())]);
+        assert_eq!(warm.learned().len(), 1, "the seeded key is looked up, not learned");
+        assert_eq!(warm.len(), 2);
+        let both = AbsSeed::union([&cold.snapshot(), &warm.snapshot()]);
+        assert_eq!(both.len(), 2);
+        assert_eq!(warm.counters().queries, 2, "unions touch no counter");
     }
 
     #[test]

@@ -130,3 +130,28 @@ fn truncation_and_version_bumps_degrade_to_cold_start() {
     let (after, _, _) = run(&circ_core::AbsSeed::empty(), Vec::new());
     assert!(after.is_safe());
 }
+
+/// A warm run whose seed already answers every query learns nothing:
+/// seed answers are looked up in place, never copied into what the
+/// run learned, so neither the entailment cache's learned maps nor the
+/// solver store's learned set holds a seed entry.
+#[test]
+fn learned_sets_exclude_the_seed() {
+    let io = Store::real();
+    let dir = tmp("learned");
+    let solver_path = dir.join("solver.cache");
+    let (cold, cache, persist) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    assert!(cold.is_safe());
+    assert_eq!(cache.learned().len(), cache.len(), "a cold cache learned all it holds");
+    save_solver_cache_in(&io, &solver_path, &persist).unwrap();
+    let solver_seed = load_solver_cache_in(&io, &solver_path).unwrap().expect("file just written");
+
+    let (warm, warm_cache, warm_persist) = run(&cache.snapshot(), solver_seed);
+    assert!(warm.is_safe());
+    let pipeline = &warm.stats().pipeline;
+    assert_eq!(pipeline.abs.cache_misses, 0, "the seed answers every entailment query");
+    assert_eq!(pipeline.solver.cache_misses, 0, "the seed answers every solver query");
+    assert!(warm_cache.learned().is_empty(), "the abs memo holds no seed entry");
+    assert!(warm_persist.seed_len() > 0);
+    assert_eq!(warm_persist.len(), warm_persist.seed_len(), "the solver store learned nothing");
+}

@@ -247,8 +247,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Inserts `key → value` directly, bypassing the compute path.
     /// Returns `false` (keeping the existing value) when the key is
     /// already present — first write wins, matching
-    /// [`ShardedMap::get_or_compute`]. Used to preload a map from a
-    /// persisted snapshot; deliberately touches no caller-side
+    /// [`ShardedMap::get_or_compute`]. Touches no caller-side
     /// counters, so a preloaded entry's first query still counts as a
     /// hit.
     pub fn insert(&self, key: K, value: V) -> bool {

@@ -48,8 +48,8 @@ use crate::admission::{Admission, Rejected};
 use crate::protocol::{parse_request, CheckInput, Request};
 use circ_batch::journal::digest_bytes;
 use circ_batch::{
-    check_source, collect_inputs, flush_caches_in, load_warm_start, run_supervised, worst_exit,
-    BatchConfig, CheckCtx, FileRow, Verdict,
+    check_source, collect_inputs, flush_caches_in, load_warm_start, run_supervised, tally,
+    worst_exit, BatchConfig, CheckCtx, FileRow, Verdict,
 };
 use circ_core::{AbsCache, PredStore, SolverPersist};
 use circ_governor::{
@@ -513,7 +513,7 @@ fn stats_payload(state: &ServerState) -> String {
          \"service\":{}}}",
         state.started.elapsed().as_secs_f64(),
         state.cache.len(),
-        state.persist.merged_entries().len(),
+        state.persist.len(),
         snapshot.to_json(),
     )
 }
@@ -589,21 +589,7 @@ fn handle_request(state: &ServerState, line: &str) -> String {
                     drop(permit);
                     state.stats.apply(|s| {
                         s.checks += 1;
-                        for row in &rows {
-                            s.totals.files += 1;
-                            match row.verdict {
-                                Verdict::Safe => s.totals.safe += 1,
-                                Verdict::Race => s.totals.races += 1,
-                                Verdict::Inconclusive | Verdict::InternalError => {
-                                    s.totals.inconclusive += 1
-                                }
-                                Verdict::BudgetExhausted => s.totals.budget_exhausted += 1,
-                                Verdict::CompileError => s.totals.compile_errors += 1,
-                            }
-                            s.totals.retries += row.retries;
-                            s.totals.cancelled += u64::from(row.cancelled);
-                            s.totals.pipeline.add(&row.pipeline);
-                        }
+                        tally(&mut s.totals, &rows);
                     });
                     protocol::render_check_response(
                         id.as_deref(),

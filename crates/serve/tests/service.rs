@@ -291,3 +291,46 @@ fn overload_sheds_and_drain_finishes_inflight_work() {
     assert_eq!(exit, 3, "drained service exits 3");
     let _ = std::fs::remove_dir_all(&corpus);
 }
+
+/// `stats` reports `abs_entries` and `solver_entries` as seed plus
+/// learned. A cold server counts what it learned; a restart on the
+/// flushed directory counts the same entries as its seed, and
+/// re-checking the same sources learns nothing new.
+#[test]
+fn stats_entry_counts_are_seed_plus_learned() {
+    let cache_dir = std::env::temp_dir().join(format!("circ-serve-entries-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    std::fs::create_dir_all(&cache_dir).unwrap();
+    let config = || ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
+    let examples = format!("{}/../../examples", env!("CARGO_MANIFEST_DIR"));
+    let check_examples = |server: &RunningServer| {
+        let resp = server.roundtrip(&format!(
+            "{{\"op\":\"check\",\"path\":\"{}\"}}",
+            circ_batch::json_escape(&examples)
+        ));
+        assert_eq!(resp.get("exit").and_then(Value::as_u64), Some(1), "{resp:?}");
+    };
+    let entries = |server: &RunningServer| {
+        let stats = server.roundtrip("{\"op\":\"stats\"}");
+        let count = |key: &str| {
+            stats.get("stats").and_then(|s| s.get(key)).and_then(Value::as_u64).expect(key)
+        };
+        (count("abs_entries"), count("solver_entries"))
+    };
+    // Values read from the build that copied the seed into every
+    // cache; sharing it by reference must not change them.
+    const LEARNED: (u64, u64) = (48, 76);
+
+    let cold = RunningServer::start(config(), "entries-cold");
+    assert_eq!(entries(&cold), (0, 0), "a cold server starts empty");
+    check_examples(&cold);
+    assert_eq!(entries(&cold), LEARNED);
+    assert_eq!(cold.shutdown(), 3);
+
+    let warm = RunningServer::start(config(), "entries-warm");
+    assert_eq!(entries(&warm), LEARNED, "the flushed entries come back as the seed");
+    check_examples(&warm);
+    assert_eq!(entries(&warm), LEARNED, "re-checking seeded sources learns nothing");
+    assert_eq!(warm.shutdown(), 3);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}

@@ -34,9 +34,11 @@ use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
-use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
+use crate::solver::{SatResult, SolverSeed};
 use circ_ir::digest::fnv1a64;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -347,17 +349,35 @@ pub fn parse_cache_file<'a>(kind: &str, text: &'a str) -> Result<Vec<&'a str>, P
 
 const SOLVER_KIND: &str = "circ-solver-cache";
 
-/// Shared, frozen-seed persistence store for [`crate::SharedSolver`]
-/// caches.
+/// The one merge behind every cache flush: the key-wise union of
+/// `parts`, a later part winning on a shared key. Every cached answer
+/// is a deterministic function of its key, so colliding values are
+/// equal anyway; the union only ever adds warm-start coverage.
+pub fn union<'a, K, V>(parts: impl IntoIterator<Item = &'a HashMap<K, V>>) -> HashMap<K, V>
+where
+    K: Clone + Eq + Hash + 'a,
+    V: Clone + 'a,
+{
+    let mut out = HashMap::new();
+    for part in parts {
+        out.extend(part.iter().map(|(k, v)| (k.clone(), v.clone())));
+    }
+    out
+}
+
+/// Shared persistence store for [`crate::SharedSolver`] caches.
 ///
-/// The seed (loaded from disk, or empty) is immutable for the store's
-/// lifetime and pre-bucketed by shard index; every solver constructed
-/// via [`crate::SharedSolver::with_budget_and_seed`] warm-starts from
-/// it. Entries learned by finished runs are absorbed into a separate
-/// write-only accumulator and only merged with the seed at save time.
-/// That split keeps concurrent runs isolated: what one in-flight run
-/// learns can never influence another's cache counters, so per-run
-/// statistics stay independent of scheduling.
+/// The seed (loaded from disk, or empty) is one immutable map, frozen
+/// for the store's lifetime and shared by reference: every solver
+/// constructed via [`crate::SharedSolver::with_budget_and_seed`]
+/// looks it up after its own memo misses, and nothing copies it. A
+/// seed answer counts as a cache hit and charges no memory. What
+/// finished runs learned — their memos, which never hold a seed key —
+/// is absorbed into a separate accumulator, and the flush writes disk
+/// ∪ seed ∪ learned ([`SolverPersist::union_with`]). That split keeps
+/// concurrent runs isolated: what one in-flight run learns can never
+/// influence another's cache counters, so per-run statistics stay
+/// independent of scheduling.
 ///
 /// The default store is *inert* ([`SolverPersist::inert`]): it seeds
 /// nothing and absorbing into it is a no-op, so code paths without
@@ -369,10 +389,10 @@ pub struct SolverPersist {
 
 #[derive(Debug)]
 struct PersistInner {
-    /// Seed entries bucketed by [`shard_ix`], frozen at construction.
-    seed: Vec<Vec<(Formula, SatResult)>>,
-    /// Entries learned since construction (deduped, seed excluded).
-    learned: Mutex<Vec<(Formula, SatResult)>>,
+    /// Seed answers, frozen at construction.
+    seed: SolverSeed,
+    /// Answers learned since construction (disjoint from the seed).
+    learned: Mutex<HashMap<Formula, SatResult>>,
 }
 
 impl SolverPersist {
@@ -382,18 +402,15 @@ impl SolverPersist {
     }
 
     /// An active store warm-started from `seed` entries (typically
-    /// loaded via [`load_solver_cache`]; pass an empty vector for an
-    /// active-but-cold store). `Unknown` results are dropped.
+    /// loaded via [`load_solver_cache_in`]; pass an empty vector for
+    /// an active-but-cold store). `Unknown` results are dropped.
     pub fn with_seed(seed: Vec<(Formula, SatResult)>) -> SolverPersist {
-        let mut buckets: Vec<Vec<(Formula, SatResult)>> = vec![Vec::new(); SOLVER_SHARDS];
-        for (f, r) in seed {
-            if matches!(r, SatResult::Unknown) {
-                continue;
-            }
-            buckets[shard_ix(&f)].push((f, r));
-        }
+        let seed = seed.into_iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)).collect();
         SolverPersist {
-            inner: Some(Arc::new(PersistInner { seed: buckets, learned: Mutex::new(Vec::new()) })),
+            inner: Some(Arc::new(PersistInner {
+                seed: Arc::new(seed),
+                learned: Mutex::new(HashMap::new()),
+            })),
         }
     }
 
@@ -402,39 +419,49 @@ impl SolverPersist {
         self.inner.is_some()
     }
 
-    /// Number of seed entries across all buckets.
+    /// Number of seed entries.
     pub fn seed_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(Vec::len).sum())
+        self.inner.as_ref().map_or(0, |i| i.seed.len())
     }
 
-    /// The seed entries that land on solver shard `ix`.
-    pub(crate) fn seed_bucket(&self, ix: usize) -> &[(Formula, SatResult)] {
-        self.inner.as_ref().map_or(&[], |i| &i.seed[ix])
+    /// Number of entries a flush would contribute: seed plus learned
+    /// (the two never share a key).
+    pub fn len(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.seed.len() + i.learned().len())
     }
 
-    /// Folds a finished solver's cache entries into the accumulator
-    /// (no-op when inert). `Unknown` results are dropped; duplicates
-    /// are deduped at save time.
+    /// True when the store holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frozen seed, shared by reference (empty when inert).
+    pub(crate) fn seed(&self) -> SolverSeed {
+        self.inner.as_ref().map(|i| i.seed.clone()).unwrap_or_default()
+    }
+
+    /// Folds a finished solver's learned entries into the accumulator
+    /// (no-op when inert). `Unknown` results are dropped.
     pub fn absorb(&self, entries: Vec<(Formula, SatResult)>) {
         let Some(inner) = &self.inner else { return };
-        let mut learned = inner.learned.lock().unwrap_or_else(|e| e.into_inner());
-        learned.extend(entries.into_iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)));
+        inner
+            .learned()
+            .extend(entries.into_iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)));
     }
 
-    /// Seed ∪ learned, deduped by formula (first occurrence wins; the
-    /// solver is deterministic, so colliding results are identical
-    /// anyway). This is what [`save_solver_cache_in`] writes.
-    pub fn merged_entries(&self) -> Vec<(Formula, SatResult)> {
-        let Some(inner) = &self.inner else { return Vec::new() };
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let learned = inner.learned.lock().unwrap_or_else(|e| e.into_inner());
-        for (f, r) in inner.seed.iter().flatten().chain(learned.iter()) {
-            if seen.insert(f.clone()) {
-                out.push((f.clone(), r.clone()));
-            }
+    /// `disk` ∪ seed ∪ learned, ours winning on a shared key — what a
+    /// flush writes (see [`union`]).
+    pub fn union_with(&self, disk: &HashMap<Formula, SatResult>) -> HashMap<Formula, SatResult> {
+        match &self.inner {
+            None => disk.clone(),
+            Some(inner) => union([disk, &inner.seed, &inner.learned()]),
         }
-        out
+    }
+}
+
+impl PersistInner {
+    fn learned(&self) -> std::sync::MutexGuard<'_, HashMap<Formula, SatResult>> {
+        self.learned.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -486,14 +513,15 @@ pub fn load_solver_cache_in(
     parse_solver_cache(&text).map(Some)
 }
 
-/// Saves a store's merged entries to `path` (durable atomic write)
-/// through a storage handle.
+/// Saves a store's seed and learned entries to `path` (durable
+/// atomic write) through a storage handle.
 pub fn save_solver_cache_in(
     io: &circ_store::Store,
     path: &Path,
     store: &SolverPersist,
 ) -> io::Result<()> {
-    io.write_atomic(path, &render_solver_cache(&store.merged_entries()))
+    let entries: Vec<_> = store.union_with(&HashMap::new()).into_iter().collect();
+    io.write_atomic(path, &render_solver_cache(&entries))
 }
 
 #[cfg(test)]
@@ -682,7 +710,7 @@ mod tests {
         assert!(!store.is_active());
         assert_eq!(store.seed_len(), 0);
         store.absorb(vec![(Formula::Atom(Atom::le(x())), SatResult::Unsat)]);
-        assert!(store.merged_entries().is_empty());
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::sat::{BVar, CnfSolver, Lit};
 use circ_governor::Budget;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +49,12 @@ pub struct Solver {
     /// is deterministic, so replaying a cached `Sat` model is
     /// indistinguishable from re-solving.
     cache: HashMap<Formula, SatResult>,
+    /// Answers loaded from disk (see [`crate::SolverPersist`]), shared
+    /// by reference with every solver warm-started from the same store
+    /// and never copied. Seed hits count as cache hits, and
+    /// [`Solver::cache_entries`] never returns them, so `cache` holds
+    /// exactly what this solver learned.
+    seed: SolverSeed,
     cache_enabled: bool,
     cache_hits: u64,
     cache_misses: u64,
@@ -65,6 +71,7 @@ impl Default for Solver {
             queries: 0,
             theory_rounds: 0,
             cache: HashMap::new(),
+            seed: SolverSeed::default(),
             cache_enabled: true,
             cache_hits: 0,
             cache_misses: 0,
@@ -149,7 +156,10 @@ impl Solver {
             return SatResult::Unknown;
         }
         if self.cache_enabled {
-            if let Some(hit) = self.cache.get(&nnf) {
+            // The seed first: it never shares a key with `cache`, which
+            // only stores misses, so the order changes no answer and
+            // no counter, and an empty seed costs no hash.
+            if let Some(hit) = self.seed.get(&nnf).or_else(|| self.cache.get(&nnf)) {
                 self.cache_hits += 1;
                 return hit.clone();
             }
@@ -215,22 +225,9 @@ impl Solver {
         }
     }
 
-    /// Seeds the result cache with already-solved entries (NNF keys),
-    /// bypassing counters and budget charges: preloaded entries were
-    /// paid for by the run that first solved them, and their first
-    /// query here counts as a hit. Existing entries win over the seed.
-    /// No-op while the cache is disabled.
-    pub(crate) fn preload(&mut self, entries: &[(Formula, SatResult)]) {
-        if !self.cache_enabled {
-            return;
-        }
-        for (nnf, result) in entries {
-            self.cache.entry(nnf.clone()).or_insert_with(|| result.clone());
-        }
-    }
-
-    /// Clones out the memoized `(NNF, result)` pairs (for
-    /// persistence export). Order is unspecified.
+    /// Clones out the `(NNF, result)` pairs this solver learned (for
+    /// persistence export; seed answers are not among them). Order is
+    /// unspecified.
     pub(crate) fn cache_entries(&self) -> Vec<(Formula, SatResult)> {
         self.cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
@@ -276,16 +273,11 @@ fn formula_bytes(f: &Formula) -> u64 {
 /// Shard count for [`SharedSolver`]. A formula's NNF hash picks the
 /// shard, so a given query always lands on the same [`Solver`] (and
 /// its cache entry), regardless of which thread issues it.
-pub(crate) const SOLVER_SHARDS: usize = 64;
+const SOLVER_SHARDS: usize = 64;
 
-/// The shard a (canonical NNF) formula lands on. Shared with the
-/// persistence layer so seed entries can be pre-bucketed once instead
-/// of re-hashed per [`SharedSolver`] construction.
-pub(crate) fn shard_ix(nnf: &Formula) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    nnf.hash(&mut h);
-    (h.finish() as usize) % SOLVER_SHARDS
-}
+/// A frozen solver seed: the answers a store loaded, shared by
+/// reference (see [`crate::SolverPersist`]).
+pub(crate) type SolverSeed = Arc<HashMap<Formula, SatResult>>;
 
 /// A thread-shareable solver: a fixed array of [`Solver`]s behind
 /// `Mutex`es, sharded by the NNF hash of the query.
@@ -319,23 +311,22 @@ impl SharedSolver {
 
     /// [`SharedSolver::with_budget`] warm-started from a persistence
     /// store's frozen seed (see [`crate::SolverPersist`]): every shard
-    /// is preloaded with the seed entries that hash to it, so the
-    /// first query of a seeded formula is a cache hit. An inert store
-    /// (or a disabled cache) seeds nothing.
+    /// shares the seed by reference, so the first query of a seeded
+    /// formula is a cache hit. An inert store (or a disabled cache)
+    /// seeds nothing.
     pub fn with_budget_and_seed(
         cache_enabled: bool,
         budget: Budget,
         seed: &crate::SolverPersist,
     ) -> SharedSolver {
+        let seed = if cache_enabled { seed.seed() } else { SolverSeed::default() };
         SharedSolver {
             shards: (0..SOLVER_SHARDS)
-                .map(|ix| {
+                .map(|_| {
                     let mut s = Solver::new();
                     s.set_cache_enabled(cache_enabled);
                     s.set_budget(budget.clone());
-                    if cache_enabled {
-                        s.preload(seed.seed_bucket(ix));
-                    }
+                    s.seed = seed.clone();
                     Mutex::new(s)
                 })
                 .collect(),
@@ -343,7 +334,9 @@ impl SharedSolver {
     }
 
     fn shard_of(&self, nnf: &Formula) -> usize {
-        shard_ix(nnf)
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        nnf.hash(&mut h);
+        (h.finish() as usize) % SOLVER_SHARDS
     }
 
     /// Decides satisfiability of `f` over the integers.
@@ -388,8 +381,9 @@ impl SharedSolver {
         self.counters().queries
     }
 
-    /// Clones out every shard's memoized `(NNF, result)` pairs (for
-    /// persistence export). Order is unspecified.
+    /// Clones out every shard's learned `(NNF, result)` pairs (for
+    /// persistence export; seed answers are not among them). Order is
+    /// unspecified.
     pub fn entries(&self) -> Vec<(Formula, SatResult)> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
